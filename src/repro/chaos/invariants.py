@@ -10,6 +10,11 @@ barrier:
   ``ingested == processed + dropped`` (disposition) where *processed*
   includes dead-lettered events — parking is a terminal disposition,
   loss is not.  Nothing vanishes; the only exits are the counted ones.
+  On the thread backend a live re-arm's ``SessionPatch`` items ride
+  the shard queues and the workers credit them as processed; they
+  are not ingested events, so the dequeued patches
+  (``soc.rearm.patches_applied`` + ``patches_suppressed``) come off
+  the processed count before the law is checked.
 * **Quiescent drain.**  After ``drain()``, every shard queue is empty
   with zero unfinished credit — the barrier actually flushed.
 * **At most one effective repair per drift.**  A host's effective
@@ -86,12 +91,15 @@ class InvariantChecker:
         ingested = counters.get("soc.events.ingested", 0)
         rejected = counters.get("soc.events.rejected", 0)
         dropped = counters.get("soc.events.dropped", 0)
+        patches = counters.get("soc.rearm.patches_applied", 0) \
+            + counters.get("soc.rearm.patches_suppressed", 0)
         processed = sum(
             value for name, value in counters.items()
-            if name.startswith("soc.shard.") and name.endswith(".processed"))
+            if name.startswith("soc.shard.") and name.endswith(".processed")
+        ) - patches
         report.facts.update(offered=offered, ingested=ingested,
                             rejected=rejected, dropped=dropped,
-                            processed=processed)
+                            processed=processed, rearm_patches=patches)
         if offered != ingested + rejected:
             report.violations.append(
                 f"admission leak: offered={offered} != "

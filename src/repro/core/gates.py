@@ -199,6 +199,32 @@ def _verdict_from_dict(verdict: Dict) -> CheckResult:
     )
 
 
+class _NetworkChecks:
+    """One network's share of a gate evaluation.
+
+    The checker is built lazily on the first check and dropped after
+    the last one the evaluation scheduled, so at most one checker per
+    network is alive.  Its tasks all write :attr:`key`, which keeps
+    them serial on the shared checker under any scheduler.
+    """
+
+    def __init__(self, network, group: int):
+        self.network = network
+        self.key = f"checker:{group}"
+        self.remaining = 0
+        self._checker: Optional[ZoneGraphChecker] = None
+
+    def check(self, query_text: str) -> CheckResult:
+        if self._checker is None:
+            self._checker = ZoneGraphChecker(self.network)
+        try:
+            return self._checker.check(parse_query(query_text))
+        finally:
+            self.remaining -= 1
+            if not self.remaining:
+                self._checker = None
+
+
 class VerificationGate(SecurityGate):
     """Runs the model-checking tasks; fails on any unsatisfied query.
 
@@ -207,17 +233,26 @@ class VerificationGate(SecurityGate):
     Writes ``verification_results``.  Formalized requirements advance
     to VERIFIED when the gate passes.
 
-    With a :class:`~repro.prevention.VerificationCache` attached, each
-    task is content-addressed first: a fingerprint hit returns the
-    stored verdict without touching the model checker, and only the
-    misses run.  Misses execute as *effective* tasks on the unified
-    scheduler — the run's own scheduler when the pipeline attached one
-    to the context (journaled runs adopt already-verified verdicts on
+    With a verdict store attached (``cache``: a
+    :class:`~repro.prevention.VerificationCache` or a bare
+    :class:`~repro.prevention.cas.tiers.TieredVerdictStore`), each task
+    is content-addressed first: a fingerprint hit returns the stored
+    verdict without touching the model checker, and only the misses
+    run.  Misses execute as *effective* tasks on the unified scheduler
+    — the run's own scheduler when the pipeline attached one to the
+    context (journaled runs adopt already-verified verdicts on
     crash-resume instead of re-checking), otherwise an ephemeral
-    scheduler sized by ``max_workers`` (queries are independent by
-    construction).  Cache counters — plus the repository's
-    content-fingerprint dedup accounting — land in the gate metrics
-    and in ``verification_cache_stats``.
+    scheduler sized by ``max_workers``.
+
+    Tasks that share a network object share one
+    :class:`~repro.ta.checker.ZoneGraphChecker`, built on that network's
+    first check and dropped after its last, so later queries walk the
+    successor edges the earlier ones cached.  Each task writes its
+    network's ``checker:<n>`` key: tasks on one network run one after
+    another in task order, tasks on different networks are independent
+    and fan out across the workers.  Cache counters — plus the
+    repository's content-fingerprint dedup accounting — land in the
+    gate metrics and in ``verification_cache_stats``.
     """
 
     name = "verification"
@@ -225,10 +260,6 @@ class VerificationGate(SecurityGate):
     def __init__(self, cache=None, max_workers: Optional[int] = None):
         self.cache = cache
         self.max_workers = max_workers
-
-    @staticmethod
-    def _check(network, query_text: str) -> CheckResult:
-        return ZoneGraphChecker(network).check(parse_query(query_text))
 
     def evaluate(self, context: PipelineContext) -> GateResult:
         tasks = context.get("verification_tasks", [])
@@ -263,15 +294,21 @@ class VerificationGate(SecurityGate):
             scheduler = getattr(context, "scheduler", None)
             if scheduler is None:
                 scheduler = Scheduler(workers=self.max_workers or 1)
-            sched_tasks = [
-                SchedTask(
+            groups: Dict[int, _NetworkChecks] = {}
+            sched_tasks = []
+            for index, label, network, query_text, fp in pending:
+                group = groups.get(id(network))
+                if group is None:
+                    group = groups[id(network)] = _NetworkChecks(
+                        network, len(groups))
+                group.remaining += 1
+                sched_tasks.append(SchedTask(
                     name=f"verify:{label}",
-                    run=(lambda n=network, q=query_text:
-                         _verdict_to_dict(self._check(n, q))),
+                    run=(lambda g=group, q=query_text:
+                         _verdict_to_dict(g.check(q))),
+                    writes=(group.key,),
                     effective=True,
-                )
-                for index, label, network, query_text, fp in pending
-            ]
+                ))
             report = scheduler.run_batch(sched_tasks, fail_fast=False)
             report.raise_errors()
             fresh = [

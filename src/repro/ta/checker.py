@@ -90,6 +90,15 @@ class ZoneGraphChecker:
     ``fast`` (default) enables the precomputed-table + memoization +
     incremental-closure engine; ``fast=False`` keeps the reference
     implementation for ablation benchmarks and equivalence tests.
+
+    A checker holds no per-query state, only memos of the network's
+    symbolic semantics (discrete steps, urgency, invariants, and the
+    successors of each visited symbolic state).  Any number of queries
+    may run on one checker, one at a time, and each gets the verdict a
+    fresh checker would give.  The memos live as long as the checker:
+    :class:`~repro.core.gates.VerificationGate` builds one per network
+    and drops it after that network's last task, so the successor memo
+    lives for one gate evaluation.
     """
 
     def __init__(self, network: Network, fast: bool = True):
@@ -126,7 +135,7 @@ class ZoneGraphChecker:
             self._steps: Dict[NetworkState, Tuple[ComposedStep, ...]] = {}
             self._urgent: Dict[NetworkState, bool] = {}
             # Successor memo: symbolic states are immutable once built,
-            # so repeated checks over the same network walk cached edges
+            # so repeated checks on this checker walk cached edges
             # instead of redoing the DBM algebra.
             self._succ: Dict[Tuple[NetworkState, tuple], tuple] = {}
 
@@ -364,11 +373,11 @@ class ZoneGraphChecker:
             raise ValueError(
                 "A<> / E[] queries are restricted to location formulas"
             )
-        violation = self._find_phi_avoiding_run(formula)
+        violation, explored = self._find_phi_avoiding_run(formula)
         return CheckResult(
             satisfied=violation is None,
             query=f"A<> {formula}",
-            states_explored=self._last_liveness_explored,
+            states_explored=explored,
             witness=violation or [],
         )
 
@@ -392,9 +401,9 @@ class ZoneGraphChecker:
             explored += 1
             if not self._holds(premise, state, zone):
                 continue
-            run = self._find_phi_avoiding_run(conclusion,
-                                              root=(state, zone))
-            explored += self._last_liveness_explored
+            run, run_explored = self._find_phi_avoiding_run(
+                conclusion, root=(state, zone))
+            explored += run_explored
             if run is not None:
                 return CheckResult(
                     False, f"{premise} --> {conclusion}", explored,
@@ -417,22 +426,20 @@ class ZoneGraphChecker:
 
     # -- liveness core -------------------------------------------------------------
 
-    _last_liveness_explored: int = 0
-
     def _find_phi_avoiding_run(self, formula: StateFormula,
                                root: Optional[Tuple[NetworkState, DBM]] = None
-                               ) -> Optional[List[str]]:
+                               ) -> Tuple[Optional[List[str]], int]:
         """Find a maximal run avoiding φ: a cycle or a deadlock inside
-        the ¬φ-subgraph.  Returns its step labels, or None.
+        the ¬φ-subgraph.  Returns its step labels (or None) and the
+        number of symbolic states the search explored.
         """
         if root is None:
             root = self._initial()
         root_state, root_zone = root
-        self._last_liveness_explored = 0
         if self._holds(formula, root_state, root_zone):
-            return None
+            return None, 0
         if self._time_divergent(root_state, root_zone):
-            return ["(time divergence)"]
+            return ["(time divergence)"], 0
         # Iterative DFS with an explicit on-stack set for cycle detection.
         Key = Tuple[NetworkState, tuple]
         root_key: Key = (root_state, root_zone.key())
@@ -443,7 +450,7 @@ class ZoneGraphChecker:
                   iter(list(self._successors(root_state, root_zone))), [])]
         visited.add(root_key)
         on_stack.add(root_key)
-        self._last_liveness_explored += 1
+        explored = 1
         while stack:
             key, state, zone, successors, labels = stack[-1]
             advanced = False
@@ -451,15 +458,16 @@ class ZoneGraphChecker:
                 if self._holds(formula, next_state, next_zone):
                     continue  # this branch reaches φ at the next state
                 if self._time_divergent(next_state, next_zone):
-                    return labels + [step.label, "(time divergence)"]
+                    return (labels + [step.label, "(time divergence)"],
+                            explored)
                 next_key: Key = (next_state, next_zone.key())
                 if next_key in on_stack:
-                    return labels + [step.label, "(cycle)"]
+                    return labels + [step.label, "(cycle)"], explored
                 if next_key in visited:
                     continue
                 visited.add(next_key)
                 on_stack.add(next_key)
-                self._last_liveness_explored += 1
+                explored += 1
                 stack.append((
                     next_key, next_state, next_zone,
                     iter(list(self._successors(next_state, next_zone))),
@@ -471,10 +479,10 @@ class ZoneGraphChecker:
                 continue
             # All successors examined: deadlock check on the full graph.
             if not any(True for _ in self._successors(state, zone)):
-                return labels + ["(deadlock)"]
+                return labels + ["(deadlock)"], explored
             stack.pop()
             on_stack.discard(key)
-        return None
+        return None, explored
 
     def _time_divergent(self, state: NetworkState, zone: DBM) -> bool:
         """Can the system wait forever in *state*?

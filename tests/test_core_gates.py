@@ -1,5 +1,9 @@
 """Unit tests for the five security gates."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.core.gates import (
@@ -16,9 +20,13 @@ from repro.core.repository import (
     RequirementSource,
     RequirementStatus,
 )
+from repro.prevention.tasks import _token_ring
 from repro.rqcode import default_catalog
+from repro.sched import Scheduler, SchedulerCrash
+from repro.sched.journal import Journal
 from repro.specpatterns import Absence, Globally, Response
 from repro.ta import Edge, Location, Network, TimedAutomaton
+from repro.ta.checker import ZoneGraphChecker
 
 
 def repository_with(*texts, pattern=None):
@@ -154,6 +162,115 @@ class TestVerificationGate:
         assert stats["dedup_requirements"] == 2
         assert result.metrics["cache_dedup_groups"] == 1.0
         assert result.metrics["cache_dedup_requirements"] == 2.0
+
+
+def ring_tasks():
+    """Two queries on each of four token rings."""
+    tasks = []
+    for size in (3, 4, 5, 6):
+        ring = _token_ring(size)
+        tasks.append((f"ring{size}-mutex", ring,
+                      "A[] not (S0.busy and S1.busy)"))
+        tasks.append((f"ring{size}-progress", ring,
+                      f"E<> S{size - 1}.busy"))
+    return tasks
+
+
+def verdicts(context):
+    return [(label, result.satisfied, result.states_explored,
+             result.witness)
+            for label, result in context.require("verification_results")]
+
+
+class CheckProbe:
+    """Wraps ``ZoneGraphChecker.check``: counts calls, records which
+    checker answered for which network, and tracks how many checks
+    run at once, overall and per network."""
+
+    def __init__(self, monkeypatch, delay=0.0):
+        self.delay = delay
+        self.calls = 0
+        self.checkers = {}
+        self.peak_networks = 0
+        self.same_network_overlaps = 0
+        self._active = {}
+        self._lock = threading.Lock()
+        self._original = ZoneGraphChecker.check
+        monkeypatch.setattr(
+            ZoneGraphChecker, "check",
+            lambda checker, query: self._check(checker, query))
+
+    def _check(self, checker, query):
+        key = id(checker.network)
+        with self._lock:
+            self.calls += 1
+            self.checkers.setdefault(key, []).append(checker)
+            if self._active.get(key):
+                self.same_network_overlaps += 1
+            self._active[key] = self._active.get(key, 0) + 1
+            self.peak_networks = max(
+                self.peak_networks,
+                sum(1 for count in self._active.values() if count))
+        try:
+            time.sleep(self.delay)
+            return self._original(checker, query)
+        finally:
+            with self._lock:
+                self._active[key] -= 1
+
+
+class TestVerificationGateFanOut:
+    def test_one_checker_per_network(self, monkeypatch):
+        tasks = ring_tasks()
+        probe = CheckProbe(monkeypatch)
+        context = PipelineContext(verification_tasks=tasks)
+        assert VerificationGate().evaluate(context).passed
+        assert probe.calls == len(tasks)
+        assert len(probe.checkers) == 4
+        for checkers in probe.checkers.values():
+            assert len(checkers) == 2
+            assert checkers[0] is checkers[1]
+
+    def test_networks_overlap_and_one_network_stays_serial(
+            self, monkeypatch):
+        tasks = ring_tasks()
+        serial = PipelineContext(verification_tasks=tasks)
+        VerificationGate().evaluate(serial)
+        probe = CheckProbe(monkeypatch, delay=0.05)
+        context = PipelineContext(verification_tasks=tasks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = VerificationGate(max_workers=4).evaluate(context)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.passed
+        assert probe.calls == len(tasks)
+        assert probe.peak_networks >= 2
+        assert probe.same_network_overlaps == 0
+        assert verdicts(context) == verdicts(serial)
+
+    def test_journaled_resume_adopts_verified_tasks(self, tmp_path,
+                                                    monkeypatch):
+        tasks = ring_tasks()
+        reference = PipelineContext(verification_tasks=tasks)
+        VerificationGate().evaluate(reference)
+        path = str(tmp_path / "run.jsonl")
+        crashed = PipelineContext(verification_tasks=tasks)
+        crashed.scheduler = Scheduler(journal=Journal(path), crash_after=3)
+        with pytest.raises(SchedulerCrash):
+            VerificationGate().evaluate(crashed)
+
+        journal = Journal(path)
+        assert sorted(journal.completions()) == sorted(
+            f"verify:{label}" for label, _network, _text in tasks[:3])
+        probe = CheckProbe(monkeypatch)
+        resumed = PipelineContext(verification_tasks=tasks)
+        resumed.scheduler = Scheduler(workers=2, journal=journal,
+                                      generation=1)
+        assert VerificationGate().evaluate(resumed).passed
+        assert probe.calls == len(tasks) - 3
+        assert verdicts(resumed) == verdicts(reference)
 
 
 class TestComplianceGate:

@@ -112,11 +112,10 @@ class TestCachedVerdictsAreByteIdentical:
         VerificationGate(cache=cache).evaluate(
             PipelineContext(verification_tasks=tasks))
 
-        def exploding_check(network, query_text):
+        def exploding_check(checker, query):
             raise AssertionError("warm run must not model-check")
 
-        monkeypatch.setattr(VerificationGate, "_check",
-                            staticmethod(exploding_check))
+        monkeypatch.setattr(ZoneGraphChecker, "check", exploding_check)
         warm = PipelineContext(verification_tasks=tasks)
         outcome = VerificationGate(cache=cache).evaluate(warm)
         assert outcome.passed

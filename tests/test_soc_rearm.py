@@ -9,7 +9,7 @@ same final verdicts as a cold service armed from the resulting IR set
 
 import pytest
 
-from repro.chaos import ChaosController, FaultPlan
+from repro.chaos import ChaosController, FaultPlan, check_invariants
 from repro.environment import hardened_ubuntu_host, hardened_windows_host
 from repro.ltl.parser import parse_ltl
 from repro.reqs.ir import Formalization, Provenance, Requirement
@@ -311,6 +311,35 @@ class TestZeroGap:
         assert all(incident.req_id != "R-1/drift"
                    for incident in soc.incidents())
         assert ("web-00", "R-1/drift") not in soc.final_verdicts()
+
+
+class TestInvariantsAcrossRearm:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_live_rearm_reports_no_violation(self, backend):
+        # Thread-backend workers credit dequeued re-arm patches as
+        # processed queue items; the disposition law must not read
+        # them as events.  The process backend's REARM records never
+        # reach the processed count.
+        records = [rec("R-1", UBUNTU_FINDINGS[:2])]
+        hosts = build_hosts(ubuntu=3)
+        soc = arm(records, hosts, backend=backend)
+        stream = ReqStream()
+        stream.commit(stream.diff(records))
+        hosts[0].drift_install_package("telnetd")
+        delta = stream.diff(records + [rec("R-2", UBUNTU_FINDINGS[2:4])])
+        Rearmer(soc).apply(delta, wait=True)
+        stream.commit(delta)
+        hosts[1].drift_install_package("nis")
+        soc.drain()
+        soc.stop()
+        report = check_invariants(soc)
+        assert report.violations == []
+        facts = report.facts
+        assert facts["processed"] == facts["ingested"] > 0
+        counters = soc.metrics_snapshot()["counters"]
+        patches = counters.get("soc.rearm.patches_applied", 0)
+        assert facts["rearm_patches"] == patches
+        assert patches == (len(hosts) if backend == "thread" else 0)
 
 
 # -- the Rearmer itself -------------------------------------------------------
