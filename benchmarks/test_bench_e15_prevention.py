@@ -19,7 +19,9 @@ Three speedup gates, all with verdict-equality checks across modes:
    engine answering the E6 queries repeatedly, as CI re-verification
    does — amortized per check.  ``fast=False`` routes through the
    seed implementation (full Floyd-Warshall per constraint, fresh
-   enumeration per visit, linear inclusion scans).
+   enumeration per visit, linear inclusion scans) over the unreduced
+   zone graph; the fast engine's active-clock reduction must give the
+   same verdicts while exploring no more states.
 
 Results land in ``BENCH_prevention.json`` stamped with the git commit.
 """
@@ -226,8 +228,13 @@ def test_bench_e15_checker_fast_vs_baseline():
     fast_s, fast_verdicts = _checker_session(network, queries, fast=True)
     base_s, base_verdicts = _checker_session(network, queries, fast=False)
 
-    # Identical verdicts and exploration counts, fast vs baseline.
-    assert fast_verdicts == base_verdicts
+    # Identical verdicts, fast vs baseline.  The fast engine explores
+    # the reduced zone graph, so its counts may only be smaller.
+    assert [(query, satisfied) for query, satisfied, _ in fast_verdicts] \
+        == [(query, satisfied) for query, satisfied, _ in base_verdicts]
+    for (query, _, fast_states), (_, _, base_states) in zip(
+            fast_verdicts, base_verdicts):
+        assert fast_states <= base_states, query
     speedup = base_s / fast_s
     print_table(
         f"E15 zone-graph checker (token_ring(5), "

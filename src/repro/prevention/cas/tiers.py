@@ -130,6 +130,15 @@ class TieredVerdictStore:
     def _invalidate(self, label: str, entry: Dict[str, Any]) -> None:
         """Drop *label* everywhere: the artifact moved under it."""
         stamp = entry.get("stored_at", 0)
+        if label in self._pending:
+            # A pending entry has not reached every tier yet, so its
+            # stamp says nothing about the entry a tier still holds
+            # (which may carry a higher stamp from an earlier process).
+            # Delete against the stamps the tiers hold.
+            for tier in (self.local, self.remote):
+                held = tier.get(label) if tier is not None else None
+                if held is not None:
+                    stamp = max(stamp, held.get("stored_at", 0))
         self._observe(stamp)
         self.memory.delete(label)
         self._pending.pop(label, None)

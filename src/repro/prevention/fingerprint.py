@@ -5,8 +5,8 @@ A fingerprint is a blake2b digest over a *canonical* JSON serialization
 fingerprint exactly when they are semantically identical inputs to the
 model checker: same composed network (automata, clocks, locations,
 invariants, edges, guards, resets, synchronizations, initial
-locations), same query text.  Field order, object identity and
-construction history never leak into the digest.
+locations), same query text, same checker version.  Field order,
+object identity and construction history never leak into the digest.
 
 The serializers walk the public structure of the ``repro.ta`` types;
 anything unknown fails loudly rather than fingerprinting an incomplete
@@ -19,6 +19,7 @@ import json
 from typing import Any, Optional
 
 from repro.ta.automaton import ClockConstraint, Edge, Location, TimedAutomaton
+from repro.ta.checker import CHECKER_VERSION
 from repro.ta.system import Network
 
 #: Digest size in bytes; 16 (128 bits) keeps keys short while making
@@ -125,8 +126,11 @@ def fingerprint_task(network: Network, query_text: str,
     traces back to a requirement record, its verification-relevant
     content is folded in as well, so editing the requirement text
     invalidates the task even if the derived automaton is unchanged.
+    The checker's :data:`~repro.ta.checker.CHECKER_VERSION` is folded
+    in too: verdicts an older checker cached miss and are re-checked.
     """
     body = {
+        "checker": CHECKER_VERSION,
         "network": canonical_network(network),
         **canonical_query(query_text),
     }

@@ -12,7 +12,7 @@ and the PROPAS observer templates: ``"x <= 5 & x - y < 3"``.
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 _OPS = ("<=", ">=", "==", "<", ">")
 
@@ -38,6 +38,12 @@ class ClockConstraint:
     def __str__(self) -> str:
         lhs = self.left if self.right is None else f"{self.left} - {self.right}"
         return f"{lhs} {self.op} {self.value}"
+
+    def clocks(self) -> Iterator[str]:
+        """The clock names the constraint reads (both sides)."""
+        yield self.left
+        if self.right is not None:
+            yield self.right
 
 
 _CONSTRAINT = re.compile(
@@ -186,6 +192,33 @@ class TimedAutomaton:
 
     def outgoing(self, location: str) -> List[Edge]:
         return [edge for edge in self.edges if edge.source == location]
+
+    def active_clocks(self) -> Dict[str, FrozenSet[str]]:
+        """The clocks active at each location (Daws & Yovine, "Reducing
+        the number of clock variables of timed automata", RTSS 1996).
+
+        A clock is active at a location when the location's invariant
+        or an outgoing guard reads it, or when it is active at an
+        edge's target and that edge does not reset it.  Everywhere else
+        its value is never read before its next reset, so a checker may
+        forget it.  Computed as a backward fixpoint over the edges.
+        """
+        active = {name: {clock for constraint in location.invariant
+                         for clock in constraint.clocks()}
+                  for name, location in self.locations.items()}
+        for edge in self.edges:
+            active[edge.source].update(
+                clock for constraint in edge.guard
+                for clock in constraint.clocks())
+        changed = True
+        while changed:
+            changed = False
+            for edge in self.edges:
+                carried = active[edge.target].difference(edge.resets)
+                if not carried <= active[edge.source]:
+                    active[edge.source] |= carried
+                    changed = True
+        return {name: frozenset(clocks) for name, clocks in active.items()}
 
     def max_constant(self) -> int:
         """Largest constant in any guard or invariant (>= 1)."""

@@ -14,9 +14,9 @@ addition is ``b1 + b2 - ((b1 & 1) & (b2 & 1) ... )`` — implemented in
 
 The operations are the textbook set (Bengtsson & Yi, "Timed Automata:
 Semantics, Algorithms and Tools"): canonicalization (Floyd-Warshall),
-emptiness, ``up`` (delay), ``reset``, ``constrain`` (guard
-intersection), inclusion, and max-constant extrapolation for zone-graph
-termination.
+emptiness, ``up`` (delay), ``reset``, ``free`` (forget a clock),
+``constrain`` (guard intersection), inclusion, difference, and
+max-constant extrapolation for zone-graph termination.
 
 Storage is a single flat list of ``(n+1)²`` encoded bounds in row-major
 order (``m[i*(n+1)+j]`` is the bound on ``xi - xj``): one allocation
@@ -222,6 +222,25 @@ class DBM:
         m[base + clock] = LE_ZERO
         return self
 
+    def free(self, clock: int) -> "DBM":
+        """Forget clock *clock* (1-based): drop every constraint on it
+        but ``clock >= 0`` (UDBM's ``freeClock``).  Stays canonical.
+
+        The row becomes infinite and the column copies column 0, since
+        the tightest bound on ``xi - clock`` left is ``xi``'s own upper
+        bound.  The zone checker frees clocks that are inactive at a
+        location, so they carry no upper bound for extrapolation to
+        relax.
+        """
+        dim = self.dim
+        m = self.m
+        base = clock * dim
+        for j in range(dim):
+            m[base + j] = INF                     # row clock -> INF
+            m[j * dim + clock] = m[j * dim]       # column 0 -> column clock
+        m[base + clock] = LE_ZERO
+        return self
+
     def constrain(self, i: int, j: int, bound: int) -> "DBM":
         """Intersect with ``xi - xj ≺ c`` (encoded *bound*); re-close
         incrementally.
@@ -289,6 +308,43 @@ class DBM:
         """Does some valuation in the zone satisfy ``xi - xj ≺ c``?"""
         probe = self.copy().constrain(i, j, bound)
         return not probe.is_empty()
+
+    def intersect(self, other: "DBM") -> "DBM":
+        """Intersect with zone *other* (same clocks); stays canonical."""
+        dim = self.dim
+        m = self.m
+        for pos, bound in enumerate(other.m):
+            if bound < m[pos] and pos % (dim + 1):
+                self.constrain(pos // dim, pos % dim, bound)
+        return self
+
+    def subtract(self, other: "DBM") -> List["DBM"]:
+        """Zone difference ``self - other`` as a list of disjoint
+        canonical zones (empty when *other* covers self).
+
+        Peels off one constraint of *other* at a time: the piece of the
+        remainder violating it is kept, the remainder is narrowed to
+        satisfy it, and what is left at the end lies inside *other*.
+        """
+        if other.is_empty():
+            return [self.copy()]
+        dim = self.dim
+        pieces = []
+        rest = self.copy()
+        for i in range(dim):
+            for j in range(dim):
+                bound = other.m[i * dim + j]
+                if i == j or bound >= rest.m[i * dim + j]:
+                    continue
+                value, strict = decode(bound)
+                piece = rest.copy().constrain(j, i,
+                                              encode(-value, not strict))
+                if not piece.is_empty():
+                    pieces.append(piece)
+                rest.constrain(i, j, bound)
+                if rest.is_empty():
+                    return pieces
+        return pieces
 
     def includes(self, other: "DBM") -> bool:
         """Zone inclusion: every valuation of *other* is in self."""

@@ -16,7 +16,7 @@ checker decides clock atoms existentially over a zone.
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.ta.automaton import ClockConstraint
 
@@ -135,6 +135,14 @@ class StateFormula:
                     and self.right.evaluate(atom_eval))
         return (self.left.evaluate(atom_eval)
                 or self.right.evaluate(atom_eval))
+
+    def atoms(self) -> Iterator[Atom]:
+        """Every atom of the formula, positive or negated."""
+        if self.kind in ("atom", "natom"):
+            yield self.atom
+        else:
+            yield from self.left.atoms()
+            yield from self.right.atoms()
 
     def location_only(self) -> bool:
         """True when no clock atoms appear (liveness-safe)."""

@@ -9,6 +9,7 @@ The contracts the prevention plane stands on:
 * a fully-warm gate evaluation performs zero model-checking calls.
 """
 
+import importlib
 import json
 import random
 
@@ -27,6 +28,9 @@ from repro.ta.automaton import Edge, Location, TimedAutomaton, parse_guard
 from repro.ta.checker import ZoneGraphChecker
 from repro.ta.query import parse_query
 from repro.ta.system import Network
+
+#: The module, not the ``fingerprint`` function the package re-exports.
+fingerprint_module = importlib.import_module("repro.prevention.fingerprint")
 
 
 def small_network(guard_bound: int = 3) -> Network:
@@ -70,6 +74,50 @@ class TestFingerprintStability:
             fingerprint_requirement(record("lock after 5 attempts"))
         assert fingerprint_requirement(record("lock after 3 attempts")) == \
             fingerprint_requirement(record("lock after 3 attempts"))
+
+
+class TestCheckerVersionSalt:
+    def test_version_bump_changes_every_task_fingerprint(self,
+                                                         monkeypatch):
+        tasks = bundled_verification_tasks()
+        before = [fingerprint_task(network, text)
+                  for _label, network, text in tasks]
+        monkeypatch.setattr(fingerprint_module, "CHECKER_VERSION",
+                            fingerprint_module.CHECKER_VERSION + 1)
+        after = [fingerprint_task(network, text)
+                 for _label, network, text in tasks]
+        assert all(old != new for old, new in zip(before, after))
+
+    def test_store_of_an_older_checker_misses_and_rechecks(self, tmp_path,
+                                                           monkeypatch):
+        tasks = bundled_verification_tasks()
+        monkeypatch.setattr(fingerprint_module, "CHECKER_VERSION",
+                            fingerprint_module.CHECKER_VERSION - 1)
+        VerificationGate(cache=VerificationCache(tmp_path)).evaluate(
+            PipelineContext(verification_tasks=tasks))
+        monkeypatch.undo()
+
+        checks = []
+        original = ZoneGraphChecker.check
+
+        def counting_check(checker, query):
+            checks.append(str(query))
+            return original(checker, query)
+
+        monkeypatch.setattr(ZoneGraphChecker, "check", counting_check)
+        cache = VerificationCache(tmp_path)
+        context = PipelineContext(verification_tasks=tasks)
+        assert VerificationGate(cache=cache).evaluate(context).passed
+        stats = cache.stats_dict()
+        assert stats["hits"] == 0
+        assert stats["invalidations"] == len(tasks)
+        assert len(checks) == len(tasks)
+        for label, result in context.require("verification_results"):
+            network, text = next((network, text)
+                                 for name, network, text in tasks
+                                 if name == label)
+            assert _verdict_to_dict(result) == _verdict_to_dict(
+                original(ZoneGraphChecker(network), parse_query(text)))
 
 
 class TestCachedVerdictsAreByteIdentical:

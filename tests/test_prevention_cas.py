@@ -240,3 +240,36 @@ class TestProvenance:
         local_only = VerificationCache(tmp_path / "b")
         assert local_only.lookup("lab", "fp") == {"satisfied": True}
         assert local_only.stats_dict()["local_hits"] == 1
+
+
+class TestPendingStoreInvalidation:
+    """An invalidated store that is still pending must not let the
+    older on-disk entry come back after save and reopen."""
+
+    def _resurrection_sequence(self, tmp_path, **kwargs):
+        cache = VerificationCache(tmp_path / "local", **kwargs)
+        cache.store("alpha", "fp-one", verdict_for("alpha", "fp-one", 1))
+        cache.store("delta", "fp-one", verdict_for("delta", "fp-one", 2))
+        cache.save()
+        # The reopened process stamps its store from a fresh clock,
+        # below the stamp the local tier holds for "delta".
+        cache = VerificationCache(tmp_path / "local", **kwargs)
+        cache.store("delta", "fp-one", verdict_for("delta", "fp-one", 3))
+        assert cache.lookup("delta", "fp-two") is None
+        assert cache.stats_dict()["invalidations"] == 1
+        cache.save()
+        return VerificationCache(tmp_path / "local", **kwargs)
+
+    def test_invalidated_pending_store_stays_deleted(self, tmp_path):
+        reopened = self._resurrection_sequence(tmp_path)
+        assert reopened.labels() == ["alpha"]
+        assert reopened.lookup("delta", "fp-one") is None
+        assert reopened.lookup("alpha", "fp-one") \
+            == verdict_for("alpha", "fp-one", 1)
+
+    def test_invalidated_pending_store_stays_deleted_remotely(self,
+                                                              tmp_path):
+        reopened = self._resurrection_sequence(
+            tmp_path, shared=tmp_path / "remote")
+        assert reopened.lookup("delta", "fp-one") is None
+        assert "delta" not in BucketStore(tmp_path / "remote").labels()

@@ -12,6 +12,7 @@ from repro.ta import (
     parse_guard,
     parse_query,
 )
+from repro.prevention.tasks import _token_ring, _watchdog
 from repro.ta.query import parse_state_formula
 
 
@@ -235,6 +236,40 @@ class TestZoneGraphChecker:
         assert not result.satisfied
 
 
+class TestStateFormulaZones:
+    def test_conjoined_clock_atoms_must_meet_in_one_valuation(self):
+        for fast in (True, False):
+            checker = ZoneGraphChecker(Network([door_automaton()]),
+                                       fast=fast)
+            assert checker.check(
+                parse_query("E<> Door.c > 3 or Door.c < 2")).satisfied
+            assert not checker.check(
+                parse_query("E<> Door.c > 3 and Door.c < 2")).satisfied
+            assert checker.check(
+                parse_query("A[] Door.c <= 3 or Door.c >= 2")).satisfied
+            assert checker.check(parse_query(
+                "E<> Door.open and (Door.c < 1 or Door.c > 7)")).satisfied
+
+
+    def test_query_constants_beyond_the_network_are_exact(self):
+        # At C, x >= 10; the network's own max constant is only 5.
+        chain = TimedAutomaton(
+            "T", ["x", "y"],
+            [Location("a"), Location("b"), Location("c")],
+            [Edge("a", "b", guard=parse_guard("y >= 5"), resets=("y",)),
+             Edge("b", "c", guard=parse_guard("y >= 5"), resets=("y",))])
+        network = Network([chain])
+        for text, expected in (("E<> T.c and T.x < 7", False),
+                               ("E<> T.c and T.x >= 10", True),
+                               ("E<> T.a and T.x > 100", True)):
+            query = parse_query(text)
+            for fast in (True, False):
+                assert ZoneGraphChecker(network, fast=fast).check(
+                    query).satisfied is expected, (text, fast)
+            assert DiscreteTimeChecker(network).reachable(
+                query.formula).satisfied is expected, text
+
+
 class TestDiscreteTimeChecker:
     def test_agrees_with_zone_checker_on_reachability(self):
         network = lamp_network()
@@ -262,6 +297,49 @@ class TestDiscreteTimeChecker:
         assert not zone_states.satisfied
         assert not discrete_states.satisfied
         assert discrete_states.states_explored > zone_states.states_explored
+
+
+class TestActiveClocks:
+    def test_token_ring_station_clock_dead_while_idle(self):
+        for station in _token_ring(4).automata:
+            assert station.active_clocks() == {
+                "idle": frozenset(), "busy": frozenset({"c"})}
+
+    def test_watchdog_clocks_dead_where_reset_before_read(self):
+        sensor, watchdog = _watchdog(5).automata
+        assert sensor.active_clocks() == {
+            "calm": frozenset({"s"}), "raised": frozenset()}
+        assert watchdog.active_clocks() == {
+            "watch": frozenset(), "respond": frozenset({"w"})}
+
+    def test_activity_flows_back_along_edges_without_reset(self):
+        chain = TimedAutomaton(
+            "C", ["x", "y"],
+            [Location("a"), Location("b"), Location("c")],
+            [Edge("a", "b", resets=("y",)),
+             Edge("b", "c", guard=parse_guard("x - y <= 2"))])
+        assert chain.active_clocks() == {
+            "a": frozenset({"x"}), "b": frozenset({"x", "y"}),
+            "c": frozenset()}
+
+    def test_reduction_explores_fewer_states_with_equal_verdicts(self):
+        network = _token_ring(6)
+        for text in ("E<> S5.busy", "A[] not (S0.busy and S1.busy)",
+                     "S0.busy --> S5.busy"):
+            query = parse_query(text)
+            reduced = ZoneGraphChecker(network).check(query)
+            full = ZoneGraphChecker(network, fast=False).check(query)
+            assert reduced.satisfied == full.satisfied, text
+            assert reduced.states_explored <= full.states_explored, text
+
+    def test_query_clock_atom_keeps_a_dead_clock(self):
+        # S0 enters idle with c >= 2, and c is dead there: freeing it
+        # would let the atom's "c < 2" through.
+        checker = ZoneGraphChecker(_token_ring(3))
+        assert not checker.check(
+            parse_query("E<> S0.idle and S0.c < 2")).satisfied
+        assert checker.check(
+            parse_query("E<> S0.idle and S0.c >= 2")).satisfied
 
 
 class TestDeadlockAtom:
@@ -304,6 +382,49 @@ class TestDeadlockAtom:
         assert not DiscreteTimeChecker(deadlock_free).reachable(
             query.formula).satisfied
 
+    def test_partly_deadlocked_zone_counts(self):
+        # From x > 0 the self-loop never fires again: a deadlock after
+        # any positive delay, although the zone as a whole has a
+        # successor.
+        stuck = TimedAutomaton(
+            "T", ["x"], [Location("a")],
+            [Edge("a", "a", guard=parse_guard("x <= 0"), action="spin")])
+        network = Network([stuck])
+        query = parse_query("E<> deadlock")
+        assert ZoneGraphChecker(network).check(query).satisfied
+        assert ZoneGraphChecker(network, fast=False).check(query).satisfied
+        assert DiscreteTimeChecker(network).reachable(
+            query.formula).satisfied
+
+    def test_partly_deadlocked_zone_ends_a_maximal_run(self):
+        # Waiting past x = 0 leaves no way out before the invariant
+        # stops time, so l1 is not inevitable.
+        late = TimedAutomaton(
+            "T", ["x"],
+            [Location("l0", invariant=parse_guard("x <= 5")),
+             Location("l1")],
+            [Edge("l0", "l1", guard=parse_guard("x <= 0"), action="go")])
+        network = Network([late])
+        for fast in (True, False):
+            result = ZoneGraphChecker(network, fast=fast).check(
+                parse_query("A<> T.l1"))
+            assert not result.satisfied
+            assert result.witness == ["(deadlock)"]
+
+    def test_negated_deadlock_holds_where_some_valuation_moves(self):
+        stuck = TimedAutomaton(
+            "T", ["x"], [Location("a")],
+            [Edge("a", "a", guard=parse_guard("x <= 0"), action="spin")])
+        network = Network([stuck])
+        for fast in (True, False):
+            checker = ZoneGraphChecker(network, fast=fast)
+            assert not checker.check(
+                parse_query("A[] deadlock")).satisfied
+            assert checker.check(
+                parse_query("E<> deadlock and T.x > 0")).satisfied
+            assert not checker.check(
+                parse_query("E<> deadlock and T.x <= 0")).satisfied
+
     def test_deadlock_is_liveness_safe(self):
         auto = TimedAutomaton(
             "T", [], [Location("a"), Location("trap")],
@@ -314,3 +435,37 @@ class TestDeadlockAtom:
         # eventually... but the clockless 'a' state can idle forever.
         result = checker.check(parse_query("A<> deadlock"))
         assert not result.satisfied
+
+    def test_deadlock_that_ends_a_run_satisfies_a_deadlock_goal(self):
+        # Every maximal run ends in a deadlock: at l1, or at l0 after
+        # any positive delay.  Those deadlocks satisfy φ = deadlock, so
+        # they must not count as runs avoiding it.
+        late = TimedAutomaton(
+            "T", ["x"],
+            [Location("l0", invariant=parse_guard("x <= 5")),
+             Location("l1")],
+            [Edge("l0", "l1", guard=parse_guard("x <= 0"), action="go")])
+        network = Network([late])
+        for fast in (True, False):
+            checker = ZoneGraphChecker(network, fast=fast)
+            assert checker.check(parse_query("A<> deadlock")).satisfied
+            assert not checker.check(
+                parse_query("E[] not deadlock")).satisfied
+            assert checker.check(parse_query("T.l0 --> deadlock")).satisfied
+
+    def test_wait_into_a_deadlock_satisfies_a_deadlock_goal(self):
+        # l0 can wait forever, but past x = 3 it is deadlocked: waiting
+        # reaches the deadlock φ asks for.
+        late = TimedAutomaton(
+            "T", ["x"], [Location("l0"), Location("l1")],
+            [Edge("l0", "l1", guard=parse_guard("x <= 3"), action="go")])
+        network = Network([late])
+        for fast in (True, False):
+            checker = ZoneGraphChecker(network, fast=fast)
+            assert checker.check(parse_query("A<> deadlock")).satisfied
+            assert not checker.check(
+                parse_query("E[] not deadlock")).satisfied
+            # Waiting forever still avoids a location goal.
+            result = checker.check(parse_query("A<> T.l1"))
+            assert not result.satisfied
+            assert result.witness == ["(time divergence)"]
