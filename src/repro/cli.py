@@ -412,6 +412,11 @@ def cmd_pipeline(args, out) -> int:
         max_workers=args.jobs if args.jobs > 1 else None,
         cache=cache,
     )
+    stats = run.context.get("verification_cache_stats") \
+        if cache is not None else None
+    if stats is not None:
+        # Counted once, after the run: the gate keeps to counters.
+        stats = dict(stats, entries=len(cache))
     if args.json:
         document = {
             "profile": args.profile,
@@ -419,8 +424,7 @@ def cmd_pipeline(args, out) -> int:
             "failed_stage": run.failed_stage,
             "gates": run.gate_rows(),
             "jobs": args.jobs,
-            "cache": (run.context.get("verification_cache_stats")
-                      if cache is not None else None),
+            "cache": stats,
             "cache_tiers": (cache.tier_names()
                             if cache is not None else None),
         }
@@ -428,7 +432,7 @@ def cmd_pipeline(args, out) -> int:
         return 0 if run.passed else 1
     _print_rows(run.gate_rows(), out)
     if cache is not None:
-        stats = run.context.get("verification_cache_stats") or {}
+        stats = stats or {}
         print("verification cache: "
               + ", ".join(f"{key}={value}"
                           for key, value in sorted(stats.items())),

@@ -247,10 +247,11 @@ class VerificationGate(SecurityGate):
     Tasks that share a network object share one
     :class:`~repro.ta.checker.ZoneGraphChecker`, built on that network's
     first check and dropped after its last, so later queries walk the
-    successor edges the earlier ones cached.  Each task writes its
-    network's ``checker:<n>`` key: tasks on one network run one after
-    another in task order, tasks on different networks are independent
-    and fan out across the workers.  Cache counters — plus the
+    successor edges the earlier ones cached; fingerprinting likewise
+    serializes each network object once per evaluation.  Each task
+    writes its network's ``checker:<n>`` key: tasks on one network run
+    one after another in task order, tasks on different networks are
+    independent and fan out across the workers.  Cache counters — plus the
     repository's content-fingerprint dedup accounting — land in the
     gate metrics and in ``verification_cache_stats``.
     """
@@ -268,8 +269,11 @@ class VerificationGate(SecurityGate):
         if self.cache is not None:
             from repro.prevention.fingerprint import fingerprint_task
 
+            # One canonical serialization per network for this
+            # evaluation; ``tasks`` keeps every network alive meanwhile.
+            serialized: Dict[int, str] = {}
             for index, (label, network, query_text) in enumerate(tasks):
-                fp = fingerprint_task(network, query_text)
+                fp = fingerprint_task(network, query_text, memo=serialized)
                 verdict = self.cache.lookup(label, fp)
                 if verdict is not None:
                     results[index] = (label, _verdict_from_dict(verdict))

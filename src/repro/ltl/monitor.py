@@ -94,6 +94,12 @@ class LtlMonitor:
     Feed steps with :meth:`observe`; read :attr:`verdict` any time.
     Once the verdict leaves INCONCLUSIVE it is frozen (impartiality),
     and further observations are ignored.
+
+    This tree-rewriting monitor is the reference oracle for the
+    compiled monitors the protection plane runs
+    (:class:`~repro.ltl.compile.CompiledMonitor` and the SOC sessions
+    built on it): they must agree with it step for step, and the
+    property suites check exactly that.
     """
 
     def __init__(self, formula: Formula):

@@ -10,14 +10,27 @@ touch different buckets and never serialize behind one global file.
 Writer protocol (the workflow-orchestrator persistent-state pattern:
 lock, read, merge, atomic replace):
 
-1. take the bucket's advisory file lock (``locks/<prefix>.lock``,
-   ``flock`` with a bounded spin; an ``O_EXCL`` fallback where
-   ``fcntl`` is unavailable);
+1. take the bucket's advisory lock: a write lock on byte
+   ``int(prefix, 16)`` of the store's one lock file
+   (``locks/buckets.lock``), taken as an open-file-description
+   byte-range lock (``F_OFD_SETLK``) with a bounded spin.  OFD locks
+   belong to the open file, not the process, so every acquisition
+   opens the file afresh and two threads exclude each other exactly
+   as two processes do.  Where ``F_OFD_SETLK`` is unavailable, an
+   ``O_EXCL`` marker file per bucket (``locks/<prefix>.excl``) stands
+   in;
 2. re-read the bucket *under the lock* and merge the pending updates —
    conflicting labels resolve last-writer-wins by ``stored_at``
    logical stamp (fresh stores re-stamp above everything observed, so
    the writer holding the lock is by construction the latest);
 3. write a temp file and ``os.replace`` it over the bucket.
+
+The store once flocked one ``locks/<prefix>.lock`` file per bucket.
+Those files are ignored now, and a writer of that protocol and a
+writer of this one do not exclude each other on a shared root.  The
+worst such a race can do is lose one update, which costs one
+recompute and never a wrong verdict: every entry is checked against
+its task's fingerprint before it is served.
 
 Readers never lock: the atomic rename means any read observes a
 complete document.  A torn temp file left by a killed writer is
@@ -35,6 +48,7 @@ actually present (one redundant recompute; never a wrong verdict).
 import hashlib
 import json
 import os
+import struct
 import threading
 import time
 import warnings
@@ -48,6 +62,16 @@ try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback path
     fcntl = None
+
+#: Open-file-description lock command (Linux); None selects the
+#: ``O_EXCL`` marker-file fallback.
+_OFD_SETLK = getattr(fcntl, "F_OFD_SETLK", None)
+
+
+def _byte_lock(lock_type: int, byte: int) -> bytes:
+    """A ``struct flock`` over one byte (``l_pid`` 0, as OFD locks
+    require)."""
+    return struct.pack("hhqqi4x", lock_type, os.SEEK_SET, byte, 1, 0)
 
 
 class CacheLockTimeout(RuntimeError):
@@ -140,13 +164,13 @@ class BucketStore:
 
     @contextmanager
     def _locked(self, prefix: str):
-        """Hold bucket *prefix*'s advisory file lock.
+        """Hold bucket *prefix*'s advisory lock.
 
         The chaos seam draws per acquisition attempt (stable key
-        ``prefix:attempt``), so an injected timeout on one flush clears
-        on a later retry instead of wedging the store forever.  Real
-        contention spins with a deadline; a genuine timeout raises the
-        same :class:`CacheLockTimeout` the seam does.
+        ``tier:prefix:attempt``), so an injected timeout on one flush
+        clears on a later retry instead of wedging the store forever.
+        Real contention spins with a deadline; a genuine timeout raises
+        the same :class:`CacheLockTimeout` the seam does.
         """
         with self._mutex:
             attempt = self._lock_attempts.get(prefix, 0)
@@ -157,15 +181,19 @@ class BucketStore:
             raise CacheLockTimeout(
                 f"injected lock timeout on bucket {prefix!r}")
         self.locks_dir.mkdir(parents=True, exist_ok=True)
-        lock_path = self.locks_dir / f"{prefix}.lock"
         deadline = time.monotonic() + self.lock_timeout_s
-        if fcntl is not None:
-            handle = open(lock_path, "a+")
+        if _OFD_SETLK is not None:
+            # A fresh open file description per acquisition: the lock
+            # is owned by it, so it also excludes this process's other
+            # threads (and other stores on the same root).
+            fd = os.open(self.locks_dir / "buckets.lock",
+                         os.O_RDWR | os.O_CREAT, 0o644)
+            byte = int(prefix, 16)
             try:
                 while True:
                     try:
-                        fcntl.flock(handle.fileno(),
-                                    fcntl.LOCK_EX | fcntl.LOCK_NB)
+                        fcntl.fcntl(fd, _OFD_SETLK,
+                                    _byte_lock(fcntl.F_WRLCK, byte))
                         break
                     except OSError:
                         if time.monotonic() >= deadline:
@@ -174,14 +202,17 @@ class BucketStore:
                                 f"bucket {prefix!r} lock held past "
                                 f"{self.lock_timeout_s}s")
                         time.sleep(0.002)
-                yield
-            finally:
                 try:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+                    yield
                 finally:
-                    handle.close()
-        else:  # pragma: no cover - exercised only without fcntl
-            marker = lock_path.with_suffix(".excl")
+                    # Released explicitly: a child forked meanwhile
+                    # shares the description and would keep it held.
+                    fcntl.fcntl(fd, _OFD_SETLK,
+                                _byte_lock(fcntl.F_UNLCK, byte))
+            finally:
+                os.close(fd)
+        else:  # pragma: no cover - exercised only without F_OFD_SETLK
+            marker = self.locks_dir / f"{prefix}.excl"
             while True:
                 try:
                     fd = os.open(marker, os.O_CREAT | os.O_EXCL)

@@ -281,9 +281,10 @@ class TieredVerdictStore:
         return len(self.reachable_labels())
 
     def stats_dict(self) -> Dict[str, int]:
-        stats = self.stats.as_dict()
-        stats["entries"] = len(self)
-        return stats
+        """The counters only: ``len(self)`` reads every bucket of every
+        tier, work that grows with the fleet, so callers that want the
+        entry count ask for it once."""
+        return self.stats.as_dict()
 
     def provenance_dict(self) -> Dict[str, Any]:
         """Cache-hit provenance for the run summary: who answered."""

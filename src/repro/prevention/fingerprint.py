@@ -16,7 +16,7 @@ verdicts after a change it cannot see).
 
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from repro.ta.automaton import ClockConstraint, Edge, Location, TimedAutomaton
 from repro.ta.checker import CHECKER_VERSION
@@ -27,11 +27,18 @@ from repro.ta.system import Network
 _DIGEST_SIZE = 16
 
 
-def fingerprint(obj: Any) -> str:
-    """Hex blake2b digest of *obj*'s canonical JSON form."""
-    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _canonical_json(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(payload: str) -> str:
     return hashlib.blake2b(payload.encode("utf-8"),
                            digest_size=_DIGEST_SIZE).hexdigest()
+
+
+def fingerprint(obj: Any) -> str:
+    """Hex blake2b digest of *obj*'s canonical JSON form."""
+    return _digest(_canonical_json(obj))
 
 
 def _canonical_constraint(constraint: ClockConstraint) -> dict:
@@ -119,7 +126,8 @@ def canonical_requirement(record: Any) -> dict:
 
 
 def fingerprint_task(network: Network, query_text: str,
-                     requirement: Optional[Any] = None) -> str:
+                     requirement: Optional[Any] = None,
+                     memo: Optional[Dict[int, str]] = None) -> str:
     """Content address of one verification task.
 
     The digest covers the composed network and the query; when the task
@@ -128,15 +136,29 @@ def fingerprint_task(network: Network, query_text: str,
     invalidates the task even if the derived automaton is unchanged.
     The checker's :data:`~repro.ta.checker.CHECKER_VERSION` is folded
     in too: verdicts an older checker cached miss and are re-checked.
+
+    The digest is :func:`fingerprint` of ``{"checker", "network",
+    "query"[, "requirement"]}``.  Its canonical JSON is spliced from
+    the parts, so a caller fingerprinting many tasks over few networks
+    can pass one *memo* (``id(network)`` -> the network's canonical
+    JSON) for the batch and serialize each network once.  The caller
+    keeps every network alive while the memo lives: ids of collected
+    objects are reused.
     """
-    body = {
-        "checker": CHECKER_VERSION,
-        "network": canonical_network(network),
-        **canonical_query(query_text),
-    }
+    network_json = memo.get(id(network)) if memo is not None else None
+    if network_json is None:
+        network_json = _canonical_json(canonical_network(network))
+        if memo is not None:
+            memo[id(network)] = network_json
+    # Keys in sorted order, exactly as fingerprint() would write them.
+    payload = ('{"checker":' + _canonical_json(CHECKER_VERSION)
+               + ',"network":' + network_json
+               + ',"query":'
+               + _canonical_json(canonical_query(query_text)["query"]))
     if requirement is not None:
-        body["requirement"] = canonical_requirement(requirement)
-    return fingerprint(body)
+        payload += ',"requirement":' + _canonical_json(
+            canonical_requirement(requirement))
+    return _digest(payload + "}")
 
 
 def fingerprint_requirement(record: Any) -> str:

@@ -14,7 +14,9 @@ scenario seed.
 The pinned ``seed-legacy`` scenario reproduces the fixtures the benches
 shipped with byte-for-byte (same host names, same drift rotation, same
 NL statements, same inventory), so the checked-in BENCH_* figures stay
-comparable across the refactor.  The generated scenarios draw a zoned
+comparable across the refactor.  It is the library's reference
+oracle: the fidelity suite pins it to those fixtures, and it is kept
+for that role, not as one more scenario.  The generated scenarios draw a zoned
 IEC 62443 estate from :func:`~repro.scenarios.topology.
 generate_topology` and compile a recon → exploit → persist campaign
 whose stage targets follow the zone structure.

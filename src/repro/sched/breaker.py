@@ -17,8 +17,8 @@ deterministic:
   workers can never double-probe one backend); success closes the
   breaker, failure re-opens it for a fresh, full cooldown.
 
-Grew up as ``repro.soc.breaker``; it moved here when the scheduler
-unified the three executor stacks, and the SOC module re-exports it.
+Grew up in the SOC; it moved here when the scheduler unified the
+three executor stacks, and :mod:`repro.soc` re-exports it.
 """
 
 import enum

@@ -9,8 +9,9 @@ long-running concurrent service instead of a synchronous per-host loop:
 * :mod:`repro.soc.sessions` — per-host monitor state, progressed off
   the emitting thread with sound atom-indexed routing;
 * :mod:`repro.soc.incidents` — the incident pipeline: retry with
-  exponential backoff + jitter, per-finding circuit breakers;
-* :mod:`repro.soc.breaker` — the three-state breaker itself;
+  exponential backoff + jitter, per-finding circuit breakers (the
+  three-state breaker is the scheduler's,
+  :mod:`repro.sched.breaker`, re-exported here);
 * :mod:`repro.soc.metrics` — counters / gauges / histograms,
   snapshotable as plain dicts;
 * :mod:`repro.soc.workers` — the shard worker threads;
@@ -26,7 +27,7 @@ Entry points: ``Fleet.arm_soc(...)`` from :mod:`repro.core.fleet`, the
 ``repro soc`` CLI subcommand, and benchmark E12.
 """
 
-from repro.soc.breaker import BreakerState, CircuitBreaker
+from repro.sched.breaker import BreakerState, CircuitBreaker
 from repro.soc.incidents import IncidentPipeline, RetryPolicy
 from repro.soc.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.soc.quarantine import DeadLetter, DeadLetterQueue, Quarantine

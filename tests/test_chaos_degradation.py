@@ -16,7 +16,7 @@ from repro.chaos import (
     build_chaos_fleet,
     run_chaos_scenario,
 )
-from repro.soc.breaker import BreakerState
+from repro.sched.breaker import BreakerState
 
 
 def counters_of(result):

@@ -186,6 +186,25 @@ class TestPipeline:
         assert "verification cache:" in output
         assert "misses=6" in output
 
+    def test_json_cache_entries_count_the_store(self, tmp_path):
+        import json
+
+        from repro.prevention import VerificationCache
+
+        shared = tmp_path / "shared"
+        other =VerificationCache(tmp_path / "other", shared=shared)
+        other.store("someone-elses-task", "fp", {"satisfied": True})
+        other.save()
+        code, output = run_cli(
+            "pipeline", "--profile", "ubuntu-default", "--json",
+            "--cache", str(tmp_path / "local"),
+            "--shared-cache", str(shared))
+        assert code == 0
+        entries = json.loads(output)["cache"]["entries"]
+        assert entries == len(VerificationCache(
+            tmp_path / "local", shared=shared))
+        assert entries == 7       # six bundled tasks + the other writer's
+
 
 class TestSoc:
     def test_drift_scenario_runs_end_to_end(self):

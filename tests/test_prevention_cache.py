@@ -76,6 +76,111 @@ class TestFingerprintStability:
             fingerprint_requirement(record("lock after 3 attempts"))
 
 
+class RecordingCache:
+    """A verdict store that answers every lookup with a canned hold
+    and records the fingerprints the gate computed (nothing is
+    model-checked)."""
+
+    def __init__(self):
+        self.fingerprints = {}
+
+    def lookup(self, label, fp):
+        self.fingerprints[label] = fp
+        return {"satisfied": True, "query": "", "states_explored": 0,
+                "witness": []}
+
+    def save(self):
+        return False
+
+    def stats_dict(self):
+        return {}
+
+
+def reference_fingerprint(network, query_text, requirement=None):
+    """The task digest spelled out as one plain document."""
+    body = {"checker": fingerprint_module.CHECKER_VERSION,
+            "network": fingerprint_module.canonical_network(network),
+            "query": " ".join(query_text.split())}
+    if requirement is not None:
+        body["requirement"] = \
+            fingerprint_module.canonical_requirement(requirement)
+    return fingerprint_module.fingerprint(body)
+
+
+def ring_shape_tasks():
+    """The prevent-ci benchmark's ring corpus: every size, hold and
+    query it cycles through."""
+    from repro.prevention.tasks import _token_ring
+
+    tasks = []
+    for size in range(12, 19):
+        for hold in (4, 6, 8):
+            ring = _token_ring(size, hold)
+            for name, text in (
+                    ("mutex", "A[] not (S0.busy and S1.busy)"),
+                    ("progress", f"E<> S{size - 1}.busy"),
+                    ("token-returns", "S1.busy --> S0.busy")):
+                tasks.append((f"ring{size}-h{hold}-{name}", ring, text))
+    return tasks
+
+
+class TestBatchFingerprintIdentity:
+    """One serialization per network per evaluation, same digests."""
+
+    #: ``ring-token-reaches-last`` of the bundled corpus, as the
+    #: whole-document serialization computed it (CHECKER_VERSION 2).
+    GOLDEN = "42e9ff34009da398126c4c153148fe52"
+
+    @pytest.mark.parametrize("tasks", [
+        bundled_verification_tasks(), ring_shape_tasks()],
+        ids=["bundled", "prevent-ci-rings"])
+    def test_gate_digests_equal_the_reference(self, tasks):
+        cache = RecordingCache()
+        VerificationGate(cache=cache).evaluate(
+            PipelineContext(verification_tasks=tasks))
+        assert cache.fingerprints == {
+            label: reference_fingerprint(network, text)
+            for label, network, text in tasks}
+
+    def test_golden_digest(self):
+        label, network, text = bundled_verification_tasks()[0]
+        assert label == "ring-token-reaches-last"
+        assert fingerprint_task(network, text) == self.GOLDEN
+        assert fingerprint_task(network, text, memo={}) == self.GOLDEN
+
+    def test_memo_matches_with_a_requirement_and_spacing_variants(self):
+        record = RequirementRecord(
+            req_id="R1", text="lock after 3 attempts",
+            source=RequirementSource.NATURAL_LANGUAGE)
+        network = small_network()
+        memo = {}
+        for text in ("E<> M.on", "E<>   M.on", " E<>\tM.on\n"):
+            for requirement in (None, record):
+                assert fingerprint_task(
+                    network, text, requirement, memo=memo) == \
+                    reference_fingerprint(network, text, requirement)
+        assert list(memo) == [id(network)]
+
+    def test_one_canonical_network_per_network_per_evaluation(
+            self, monkeypatch):
+        calls = []
+        original = fingerprint_module.canonical_network
+
+        def counting(network):
+            calls.append(id(network))
+            return original(network)
+
+        monkeypatch.setattr(fingerprint_module, "canonical_network",
+                            counting)
+        tasks = bundled_verification_tasks()
+        distinct = {id(network) for _label, network, _text in tasks}
+        gate = VerificationGate(cache=RecordingCache())
+        for evaluation in (1, 2):
+            gate.evaluate(PipelineContext(verification_tasks=tasks))
+            assert len(calls) == evaluation * len(distinct)
+            assert set(calls) == distinct
+
+
 class TestCheckerVersionSalt:
     def test_version_bump_changes_every_task_fingerprint(self,
                                                          monkeypatch):

@@ -273,3 +273,52 @@ class TestPendingStoreInvalidation:
             tmp_path, shared=tmp_path / "remote")
         assert reopened.lookup("delta", "fp-one") is None
         assert "delta" not in BucketStore(tmp_path / "remote").labels()
+
+
+class TestGateReads:
+    """The gate's store work scales with its own tasks, not the store."""
+
+    def test_warm_evaluate_reads_two_documents_per_task(self, tmp_path,
+                                                        monkeypatch):
+        from repro.core.gates import VerificationGate
+        from repro.core.pipeline import PipelineContext
+        from repro.prevention import bundled_verification_tasks
+        from repro.prevention.cas.tiers import TieredVerdictStore
+
+        tasks = bundled_verification_tasks()
+        shared = tmp_path / "shared"
+        # Other fleet members' verdicts crowd the shared tier.
+        crowd = VerificationCache(tmp_path / "crowd", shared=shared)
+        for index in range(40):
+            crowd.store(f"other-{index}", "fp", {"satisfied": True})
+        crowd.save()
+        VerificationGate(cache=VerificationCache(
+            tmp_path / "cold", shared=shared)).evaluate(
+            PipelineContext(verification_tasks=tasks))
+
+        reads = []
+        saving = [False]
+        read_bucket = BucketStore._read_bucket
+        save = TieredVerdictStore.save
+
+        def counting_read(store, prefix):
+            if not saving[0]:
+                reads.append((store.tier, prefix))
+            return read_bucket(store, prefix)
+
+        def flagged_save(store):
+            saving[0] = True
+            try:
+                return save(store)
+            finally:
+                saving[0] = False
+
+        monkeypatch.setattr(BucketStore, "_read_bucket", counting_read)
+        monkeypatch.setattr(TieredVerdictStore, "save", flagged_save)
+        cache = VerificationCache(tmp_path / "warm", shared=shared)
+        result = VerificationGate(cache=cache).evaluate(
+            PipelineContext(verification_tasks=tasks))
+        assert result.passed
+        assert cache.stats_dict()["remote_hits"] == len(tasks)
+        # One local miss and one remote hit per task, nothing more.
+        assert len(reads) <= 2 * len(tasks)

@@ -18,7 +18,8 @@ import multiprocessing
 import threading
 
 from repro.prevention import VerificationCache
-from repro.prevention.cas.store import BucketStore
+from repro.prevention.cas.store import BucketStore, bucket_prefix
+from repro.prevention.cas.tiers import TieredVerdictStore
 
 WRITERS = 6
 ROUNDS = 8
@@ -140,3 +141,73 @@ class TestSequencedConflict:
         first.save()
         fresh = VerificationCache(tmp_path / "c", shared=shared_root)
         assert fresh.lookup("lab", "fp-new") == {"winner": "second"}
+
+
+def _labels_in_two_buckets():
+    """Two labels that shard into different buckets."""
+    first = "held-label"
+    other = next(f"free-label-{index}" for index in range(1000)
+                 if bucket_prefix(f"free-label-{index}")
+                 != bucket_prefix(first))
+    return first, other
+
+
+def _entry(label):
+    return {"fingerprint": f"fp-{label}", "verdict": {"label": label},
+            "stored_at": 0, "writer_id": "lock-test"}
+
+
+def _hold_bucket_lock(root, prefix, held, release):
+    """Hold one bucket's lock until told to let go (spawned child)."""
+    with BucketStore(root)._locked(prefix):
+        held.set()
+        release.wait(30)
+
+
+class TestLockProtocol:
+    """One lock file per store; each bucket still locks on its own."""
+
+    def _assert_held_bucket_skipped(self, root):
+        held_label, free_label = _labels_in_two_buckets()
+        contender = BucketStore(root, lock_timeout_s=0.05)
+        flushed = contender.put_many({held_label: _entry(held_label),
+                                      free_label: _entry(free_label)})
+        assert flushed == {free_label}
+        assert contender.get(held_label) is None
+        assert contender.get(free_label)["verdict"] == {
+            "label": free_label}
+        assert contender.stats.lock_timeouts == 1
+
+    def test_held_bucket_is_skipped_in_process(self, tmp_path):
+        held_label, _free_label = _labels_in_two_buckets()
+        with BucketStore(tmp_path)._locked(bucket_prefix(held_label)):
+            self._assert_held_bucket_skipped(tmp_path)
+
+    def test_held_bucket_is_skipped_across_processes(self, tmp_path):
+        held_label, _free_label = _labels_in_two_buckets()
+        context = multiprocessing.get_context("spawn")
+        held, release = context.Event(), context.Event()
+        child = context.Process(
+            target=_hold_bucket_lock,
+            args=(tmp_path, bucket_prefix(held_label), held, release))
+        child.start()
+        try:
+            assert held.wait(60), "child never took the lock"
+            self._assert_held_bucket_skipped(tmp_path)
+        finally:
+            release.set()
+            child.join(60)
+        assert child.exitcode == 0
+        # Released with the child: the bucket takes writes again.
+        assert BucketStore(tmp_path, lock_timeout_s=0.05).put_many(
+            {held_label: _entry(held_label)}) == {held_label}
+
+    def test_save_leaves_one_lock_file(self, tmp_path):
+        store = TieredVerdictStore(local=BucketStore(tmp_path))
+        labels = [f"task-{index}" for index in range(40)]
+        for label in labels:
+            store.store(label, f"fp-{label}", {"satisfied": True})
+        assert store.save()
+        assert len({bucket_prefix(label) for label in labels}) > 20
+        assert [path.name for path in (tmp_path / "locks").iterdir()] \
+            == ["buckets.lock"]

@@ -1,6 +1,6 @@
 """Unit tests for the per-finding circuit breaker."""
 
-from repro.soc.breaker import BreakerState, CircuitBreaker
+from repro.sched.breaker import BreakerState, CircuitBreaker
 
 
 class TestClosedState:

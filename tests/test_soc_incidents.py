@@ -4,7 +4,7 @@ from repro.environment.events import Event
 from repro.environment.host import SimulatedHost
 from repro.rqcode.catalog import StigCatalog
 from repro.rqcode.concepts import CheckStatus, EnforcementStatus
-from repro.soc.breaker import BreakerState
+from repro.sched.breaker import BreakerState
 from repro.soc.incidents import IncidentPipeline, RetryPolicy
 from repro.soc.metrics import MetricsRegistry
 from repro.soc.sessions import Detection
