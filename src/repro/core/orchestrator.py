@@ -45,7 +45,8 @@ from repro.core.repository import (
     RequirementSource,
 )
 from repro.environment.host import SimulatedHost
-from repro.ltl.compile import CompiledMonitor
+from repro.ltl.compile import CompiledMonitor, transition_table
+from repro.ltl.formulas import FALSE
 from repro.ltl.monitor import LtlMonitor
 from repro.ltl.parser import parse_ltl
 from repro.reqs.ir import Requirement
@@ -60,11 +61,12 @@ def _event_compatible(monitor: LtlMonitor) -> bool:
 
     Event logs assert only event atoms, so a formula falsified by an
     empty step (``G state_atom``) cannot be monitored on the stream.
+    The probe goes through the formula's shared transition table, so
+    it is one progression per formula per process, then a lookup.
     """
-    from repro.ltl.formulas import FALSE
-    from repro.ltl.monitor import progress
-
-    return progress(monitor.formula, frozenset()) is not FALSE
+    formula = monitor.formula
+    return transition_table(formula).step(formula, frozenset()) \
+        is not FALSE
 
 
 class VeriDevOpsOrchestrator:

@@ -14,6 +14,7 @@ Identifiers are ``[A-Za-z_][A-Za-z0-9_.]*`` minus the operator keywords,
 so dotted event names (``package.removed``) parse as atoms.
 """
 
+import functools
 import re
 from typing import List, Optional
 
@@ -93,8 +94,16 @@ class _Tokens:
         return False
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_ltl(text: str) -> Formula:
-    """Parse *text* into a :class:`~repro.ltl.formulas.Formula`."""
+    """Parse *text* into a :class:`~repro.ltl.formulas.Formula`.
+
+    Memoized per text: formulas are hash-consed and immutable, so a
+    cached result is the very object a fresh parse would return
+    (``parse_ltl(t) is parse_ltl(t)`` held before the memo too).  The
+    memo is bounded; malformed text raises on every call, since
+    ``lru_cache`` never stores an exception.
+    """
     tokens = _Tokens(text)
     formula = _parse_implication(tokens)
     leftover = tokens.peek()

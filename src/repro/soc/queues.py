@@ -18,7 +18,7 @@ The queue tracks unfinished work like :class:`queue.Queue` so
 import enum
 import threading
 from collections import deque
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 
 class Backpressure(enum.Enum):
@@ -102,6 +102,22 @@ class ShardQueue:
                     return PutResult.REJECTED
             self._append(item)
             return PutResult.ACCEPTED
+
+    def run_if_idle(self, fn: Callable[[], None]) -> bool:
+        """Call *fn* under the queue lock iff no item is queued or in
+        flight; return whether it ran.
+
+        With nothing unfinished the consumer holds no item and cannot
+        take one until the lock is released, and producers wait on the
+        lock too: *fn* runs at exactly the point of the stream where a
+        :meth:`put` made now would have been consumed, without a
+        wake-up of the consumer thread.  Refused once closed.
+        """
+        with self._lock:
+            if self._unfinished or self._closed:
+                return False
+            fn()
+            return True
 
     def _append(self, item: Any) -> None:
         self._items.append(item)

@@ -9,11 +9,15 @@ to a *running* :class:`~repro.soc.service.SocService` instead:
 * only the **affected** hosts' banks are touched, and only the
   affected requirements within them — sessions for unchanged
   requirements keep their obligation state;
-* on the **thread backend** the patch travels the shard queue as a
-  :class:`~repro.soc.sessions.SessionPatch`, so its application is
-  totally ordered against the host's in-flight events (events before
-  the patch see the old bank, events after the new one — nothing is
-  dropped or double-processed);
+* on the **thread backend** each host's patch is a
+  :class:`~repro.soc.sessions.SessionPatch`, and one
+  :class:`~repro.soc.sessions.ShardPatch` per shard carries them.  A
+  shard with events queued or in flight gets the item queued behind
+  them; an idle shard gets it applied in place, under its queue lock
+  (:meth:`~repro.soc.queues.ShardQueue.run_if_idle`), with no worker
+  wake-up.  Either way the patch is totally ordered against the
+  host's events (events before it see the old bank, events after the
+  new one — nothing is dropped or double-processed);
 * on the **process backend** the patch ships as a manifest-delta
   REARM message over the existing binary event plane
   (:meth:`~repro.soc.procplane.backend.ProcessBackend.rearm`) with the
@@ -28,23 +32,58 @@ mirrors :meth:`~repro.core.orchestrator.VeriDevOpsOrchestrator.
 protection_plan` rule-for-rule, so a delta-re-armed service and a cold
 service armed from the same final IR set hold identical monitor sets —
 the equivalence the E18 property test pins down.
+
+Planning happens once per delta record per **platform**, not per
+host: a plan reads nothing of a host but its ``os_family``, so the
+Rearmer plans each record on one host of each platform and derives
+every other host's entries from that plan.  Monitors are the
+exception: they carry per-host obligation state, so each host that
+gets one gets a fresh :class:`~repro.ltl.compile.CompiledMonitor` of
+its own — no monitor object is ever shared between two hosts.
+LTL texts are parsed once per process (``parse_ltl`` is memoized), so
+the cold per-host :func:`plan_for_records` is cheap too.
 """
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ltl.compile import CompiledMonitor
+from repro.ltl.formulas import Formula
 from repro.ltl.parser import parse_ltl
 from repro.reqs.ir import Requirement
 from repro.reqs.stream import StreamDelta
 from repro.soc.queues import QueueClosed
-from repro.soc.sessions import SessionPatch
+from repro.soc.sessions import SessionPatch, ShardPatch
+from repro.soc.workers import apply_shard_patch
 
 #: Front-end names whose host-bound records get drift detectors (the
 #: registry names that lower to ``RequirementSource.STANDARD``).
 STANDARD_FRONTENDS = ("rqcode", "standards")
+
+
+@functools.lru_cache(maxsize=1)
+def _drift_kinds() -> Tuple[Tuple[type, str], ...]:
+    """The rqcode pattern classes and the drift kind each one watches,
+    in precedence order.  Resolved once, on first use: importing
+    :mod:`repro.rqcode` at module load would close an import cycle."""
+    from repro.rqcode.ubuntu import (
+        UbuntuConfigPattern,
+        UbuntuPackagePattern,
+        UbuntuServicePattern,
+    )
+    from repro.rqcode.win10 import AuditPolicyRequirement
+    from repro.rqcode.win10_accounts import AccountPolicyRequirement
+    from repro.rqcode.win10_registry import RegistryValueRequirement
+
+    return ((UbuntuPackagePattern, "drift.package"),
+            (UbuntuConfigPattern, "drift.config"),
+            (UbuntuServicePattern, "drift.service"),
+            (AuditPolicyRequirement, "drift.audit"),
+            (RegistryValueRequirement, "drift.registry"),
+            (AccountPolicyRequirement, "drift.account"))
 
 
 def drift_atom(catalog, finding_ids: Sequence[str]) -> str:
@@ -55,30 +94,14 @@ def drift_atom(catalog, finding_ids: Sequence[str]) -> str:
     shapes fall back to the coarse ``drift`` prefix.  (The orchestrator
     delegates here — one rule, two consumers.)
     """
-    from repro.rqcode.ubuntu import (
-        UbuntuConfigPattern,
-        UbuntuPackagePattern,
-        UbuntuServicePattern,
-    )
-    from repro.rqcode.win10 import AuditPolicyRequirement
-    from repro.rqcode.win10_accounts import AccountPolicyRequirement
-    from repro.rqcode.win10_registry import RegistryValueRequirement
-
+    drift_kinds = _drift_kinds()
     kinds = set()
     for finding_id in finding_ids:
         cls = catalog.get(finding_id).requirement_class
-        if issubclass(cls, UbuntuPackagePattern):
-            kinds.add("drift.package")
-        elif issubclass(cls, UbuntuConfigPattern):
-            kinds.add("drift.config")
-        elif issubclass(cls, UbuntuServicePattern):
-            kinds.add("drift.service")
-        elif issubclass(cls, AuditPolicyRequirement):
-            kinds.add("drift.audit")
-        elif issubclass(cls, RegistryValueRequirement):
-            kinds.add("drift.registry")
-        elif issubclass(cls, AccountPolicyRequirement):
-            kinds.add("drift.account")
+        for pattern_class, kind in drift_kinds:
+            if issubclass(cls, pattern_class):
+                kinds.add(kind)
+                break
     if len(kinds) == 1:
         return kinds.pop()
     return "drift"
@@ -95,6 +118,9 @@ def monitor_entries(record: Requirement, host, catalog
     * a record carrying an event-compatible LTL formalization arms
       that formula under the record's own id (on every host, exactly
       like pipeline-produced monitors).
+
+    Of *host* only ``os_family`` is read, so two hosts of one platform
+    get equal entries (with distinct monitor objects).
     """
     from repro.core.orchestrator import _event_compatible
 
@@ -131,6 +157,28 @@ def plan_for_records(records: Sequence[Requirement], host, catalog):
             if finding_ids:
                 bindings[req_id] = list(finding_ids)
     return monitors, bindings
+
+
+def _diff_entries(olds, news):
+    """One record's ``req_id -> (formula, bindings)`` entries on one
+    platform, old -> new, as ``(adds, removes, rebinds, kept)``.
+
+    Hash-consed formula identity decides "kept state" vs "fresh": the
+    same interned formula keeps its armed monitor (rebinding it when
+    only the bindings moved); a different one is added fresh.
+    """
+    removes = [req_id for req_id in olds if req_id not in news]
+    adds, rebinds, kept = [], [], 0
+    for req_id, (formula, finding_ids) in news.items():
+        previous = olds.get(req_id)
+        if previous is not None and previous[0] is formula:
+            if finding_ids != previous[1]:
+                rebinds.append((req_id, finding_ids))
+            else:
+                kept += 1
+        else:
+            adds.append((req_id, formula, finding_ids))
+    return adds, removes, rebinds, kept
 
 
 @dataclass
@@ -175,45 +223,56 @@ class Rearmer:
 
     # -- planning ------------------------------------------------------------
 
-    def _entries_by_host(self, record: Requirement
-                         ) -> Dict[str, Dict[str, Tuple[CompiledMonitor,
-                                                        Tuple[str, ...]]]]:
-        per_host: Dict[str, Dict[str, Tuple[CompiledMonitor,
-                                            Tuple[str, ...]]]] = {}
+    def _hosts_by_platform(self) -> Dict[str, List[str]]:
+        """Host names grouped by ``os_family``, each group sorted."""
+        groups: Dict[str, List[str]] = {}
         for name in sorted(self.soc.hosts):
-            host = self.soc.hosts[name]
-            entries = monitor_entries(record, host, self.soc.catalog)
-            if entries:
-                per_host[name] = {req_id: (monitor, finding_ids)
-                                  for req_id, monitor, finding_ids
-                                  in entries}
-        return per_host
+            groups.setdefault(self.soc.hosts[name].os_family,
+                              []).append(name)
+        return groups
 
-    def _ordered_records(self, delta: StreamDelta):
-        """Delta records as (old, new) pairs, highest risk first."""
+    def _platform_entries(self, record: Optional[Requirement],
+                          groups: Dict[str, List[str]]
+                          ) -> Dict[str, Dict[str, Tuple[Formula,
+                                                         Tuple[str, ...]]]]:
+        """*record*'s ``req_id -> (formula, bindings)`` entries per
+        platform, planned once per platform: a host's ``os_family`` is
+        the only host input :func:`monitor_entries` reads."""
+        if record is None:
+            return {}
+        per_platform = {}
+        for platform, names in groups.items():
+            entries = monitor_entries(record, self.soc.hosts[names[0]],
+                                      self.soc.catalog)
+            if entries:
+                per_platform[platform] = {
+                    req_id: (monitor.formula, finding_ids)
+                    for req_id, monitor, finding_ids in entries}
+        return per_platform
+
+    def _planned_records(self, delta: StreamDelta, groups):
+        """Delta records as ``(old, new, old plan, new plan)``, in
+        stream order: added, changed, removed."""
         pairs = ([(None, record) for record in delta.added]
                  + [(old, new) for old, new in delta.changed]
                  + [(record, None) for record in delta.removed])
-        if self.risk is not None:
-            pairs.sort(key=lambda pair: (
-                -self.risk.score_for((pair[1] or pair[0]).rid),
-                (pair[1] or pair[0]).rid))
-        return pairs
+        return [(old, new, self._platform_entries(old, groups),
+                 self._platform_entries(new, groups))
+                for old, new in pairs]
 
-    def _refresh_risk(self, delta: StreamDelta) -> None:
+    def _refresh_risk(self, delta: StreamDelta, planned, groups) -> None:
         if self.risk is None:
             return
         scorer = self.scorer or self.risk.scorer
         for record in delta.removed:
             self.risk.discard(record.rid)
-        live = [new for _, new in delta.changed]
-        live.extend(delta.added)
-        for record in live:
-            if scorer is not None:
-                routed = len(self._entries_by_host(record))
-                self.risk.put(record.rid,
-                              scorer.score(record,
-                                           hosts_routed=routed).score)
+        if scorer is None:
+            return
+        for _, record, _, new_plan in planned:
+            if record is not None:
+                routed = sum(len(groups[platform]) for platform in new_plan)
+                self.risk.put(record.rid, scorer.score(
+                    record, hosts_routed=routed).score)
 
     # -- application ---------------------------------------------------------
 
@@ -229,6 +288,9 @@ class Rearmer:
         backend: drain + token verification with bounded re-sends for
         drop-oldest displacement; process backend: REARMED echo).
 
+        Each delta record is planned once per platform; every host
+        that gets an add receives a monitor of its own.
+
         The caller commits the delta into its :class:`ReqStream`
         afterwards; on failure the stream bookkeeping is untouched and
         the apply can be retried.
@@ -237,51 +299,45 @@ class Rearmer:
                              backend=self.soc.backend)
         if delta.empty:
             return report
-        self._refresh_risk(delta)
+        groups = self._hosts_by_platform()
+        planned = self._planned_records(delta, groups)
+        self._refresh_risk(delta, planned, groups)
+        if self.risk is not None:
+            # Highest risk first.
+            planned.sort(key=lambda entry: (
+                -self.risk.score_for((entry[1] or entry[0]).rid),
+                (entry[1] or entry[0]).rid))
 
         # host -> (add entries, remove req_ids, rebind entries)
         patches: Dict[str, Tuple[list, list, list]] = {}
 
-        def patch_for(host_name: str) -> Tuple[list, list, list]:
-            return patches.setdefault(host_name, ([], [], []))
-
         with self._lock:
-            for old, new in self._ordered_records(delta):
-                old_hosts = (self._entries_by_host(old)
-                             if old is not None else {})
-                new_hosts = (self._entries_by_host(new)
-                             if new is not None else {})
-                for host_name in sorted(set(old_hosts) | set(new_hosts)):
-                    olds = old_hosts.get(host_name, {})
-                    news = new_hosts.get(host_name, {})
-                    adds, removes, rebinds = patch_for(host_name)
-                    for req_id in olds:
-                        if req_id not in news:
-                            removes.append(req_id)
-                            report.monitors_removed += 1
-                    for req_id, (monitor, finding_ids) in news.items():
-                        previous = olds.get(req_id)
-                        if previous is None:
+            for old, _, old_plan, new_plan in planned:
+                for platform in sorted(set(old_plan) | set(new_plan)):
+                    adds, removes, rebinds, kept = _diff_entries(
+                        old_plan.get(platform, {}),
+                        new_plan.get(platform, {}))
+                    names = groups[platform]
+                    for host_name in names:
+                        host_adds, host_removes, host_rebinds = \
+                            patches.setdefault(host_name, ([], [], []))
+                        host_removes.extend(removes)
+                        host_rebinds.extend(rebinds)
+                        for req_id, formula, finding_ids in adds:
                             if old is None and req_id in \
                                     self.soc.plans[host_name][0]:
                                 # An "added" record colliding with an
                                 # armed req_id replaces it fresh.
                                 report.monitors_removed += 1
-                            adds.append((req_id, monitor, finding_ids))
-                            report.monitors_added += 1
-                            continue
-                        old_monitor, old_bindings = previous
-                        if monitor.formula is old_monitor.formula:
-                            # Same interned formula: the monitor (and
-                            # its obligation state) stays armed.
-                            if tuple(finding_ids) != tuple(old_bindings):
-                                rebinds.append((req_id, finding_ids))
-                                report.monitors_rebound += 1
-                            else:
-                                report.monitors_kept += 1
-                        else:
-                            adds.append((req_id, monitor, finding_ids))
-                            report.monitors_added += 1
+                            # Monitors carry per-host obligation state:
+                            # every host gets one of its own.
+                            host_adds.append((req_id,
+                                              CompiledMonitor(formula),
+                                              finding_ids))
+                    report.monitors_added += len(adds) * len(names)
+                    report.monitors_removed += len(removes) * len(names)
+                    report.monitors_rebound += len(rebinds) * len(names)
+                    report.monitors_kept += kept * len(names)
             report.hosts_patched = len(patches)
             self._update_plans(patches)
             if self.soc._proc is not None:
@@ -311,52 +367,67 @@ class Rearmer:
 
     def _session_patch(self, host_name: str,
                        ops: Tuple[list, list, list]) -> SessionPatch:
+        # Finding ids are already tuples: monitor_entries plans them so.
         adds, removes, rebinds = ops
-        return SessionPatch(
-            host_name=host_name,
-            token=next(self._tokens),
-            add=tuple((req_id, monitor, tuple(finding_ids))
-                      for req_id, monitor, finding_ids in adds),
-            remove=tuple(removes),
-            rebind=tuple((req_id, tuple(finding_ids))
-                         for req_id, finding_ids in rebinds),
-        )
+        return SessionPatch(host_name=host_name, token=next(self._tokens),
+                            add=tuple(adds), remove=tuple(removes),
+                            rebind=tuple(rebinds))
 
     def _apply_thread(self, patches, report: RearmReport,
                       wait: bool, timeout: float) -> None:
         sent = self.soc.metrics.counter("soc.rearm.patches_sent")
-        outstanding: Dict[str, SessionPatch] = {
-            host_name: self._session_patch(host_name, ops)
-            for host_name, ops in sorted(patches.items())}
-        report.tokens = [patch.token for patch in outstanding.values()]
-        # Bounded re-sends: under drop-oldest backpressure a queued
-        # patch can be displaced by later events; verification below
-        # detects the loss and re-enqueues (idempotent per token, and
-        # a re-sent patch is still ordered after any events that
+        placement = self.soc._placement
+        outstanding = [self._session_patch(host_name, ops)
+                       for host_name, ops in sorted(patches.items())]
+        report.tokens = [patch.token for patch in outstanding]
+        # One item per shard carries the patches of all its hosts.  An
+        # idle shard gets it applied in place, a busy one queued behind
+        # its backlog.  Bounded re-sends: under drop-oldest backpressure
+        # a queued item can be displaced by later events; verification
+        # below detects the loss and re-enqueues (idempotent per token,
+        # and a re-sent patch is still ordered after any events that
         # displaced it).
         for _round in range(8):
-            for host_name, patch in sorted(outstanding.items()):
-                queue = self.soc.queues[self.soc._placement[host_name]]
-                try:
-                    queue.put((host_name, patch))
-                except QueueClosed:
-                    raise RuntimeError(
-                        f"rearm: shard queue for {host_name!r} closed "
-                        f"(service stopping?)")
-                sent.inc()
+            by_shard: Dict[int, List[SessionPatch]] = {}
+            for patch in outstanding:
+                by_shard.setdefault(placement[patch.host_name],
+                                    []).append(patch)
+            for shard, shard_patches in sorted(by_shard.items()):
+                item = ShardPatch(tuple(shard_patches))
+                queue = self.soc.queues[shard]
+                if not queue.run_if_idle(
+                        functools.partial(self._apply_idle, shard, item)):
+                    try:
+                        queue.put((None, item))
+                    except QueueClosed:
+                        raise RuntimeError(
+                            f"rearm: shard queue {shard} closed "
+                            f"(service stopping?)")
+                sent.inc(len(shard_patches))
             if not wait:
                 return
             self.soc.drain()
-            outstanding = {
-                host_name: patch
-                for host_name, patch in outstanding.items()
+            outstanding = [
+                patch for patch in outstanding
                 if patch.token not in
-                self.soc.sessions[host_name]._patched}
+                self.soc.sessions[patch.host_name]._patched]
             if not outstanding:
                 return
         raise RuntimeError(
-            f"rearm: patches for {sorted(outstanding)} kept being "
-            f"displaced; reduce ingress pressure or use BLOCK policy")
+            f"rearm: patches for "
+            f"{sorted(patch.host_name for patch in outstanding)} kept "
+            f"being displaced; reduce ingress pressure or use BLOCK "
+            f"policy")
+
+    def _apply_idle(self, shard: int, item: ShardPatch) -> None:
+        """Apply *item* on the calling thread, under the queue lock of
+        an idle *shard* (:meth:`~repro.soc.queues.ShardQueue.
+        run_if_idle`): the patches land where a queued item would
+        have, and count as that shard's processed items, as the worker
+        counts a queued item's patches."""
+        apply_shard_patch(item, self.soc.sessions, self.soc.metrics)
+        self.soc.metrics.counter(
+            f"soc.shard.{shard}.processed").inc(len(item.patches))
 
     # -- process backend -----------------------------------------------------
 

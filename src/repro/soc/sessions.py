@@ -20,7 +20,11 @@ their obligation stabilises again.  The monitors themselves are
 typically :class:`~repro.ltl.compile.CompiledMonitor`\\ s, so every
 session on the same requirement shares one warmed transition table.
 Sessions are single-threaded by construction (one host -> one shard ->
-one worker) and need no locks.
+one worker) and need no locks.  The one other writer is a live re-arm
+on an idle shard, which patches sessions in place under the shard
+queue's lock while nothing is queued or in flight
+(:meth:`~repro.soc.queues.ShardQueue.run_if_idle`): the worker cannot
+touch them until that lock is released.
 """
 
 from dataclasses import dataclass
@@ -65,6 +69,23 @@ class SessionPatch:
     #: req_id -> new bindings for monitors kept armed (formula
     #: unchanged, but the enforcement bindings moved).
     rebind: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
+
+
+@dataclass(frozen=True)
+class ShardPatch:
+    """One re-arm's :class:`SessionPatch`\\ es for the hosts of one
+    shard, shipped as a single queue item.
+
+    The item is queued behind every event already enqueued for any of
+    its hosts, so each patch keeps the in-stream ordering it would have
+    riding alone, at one queue put and one worker wake-up per shard
+    instead of per host.  A shard with nothing queued or in flight
+    gets no item at all: the re-arming thread applies the patches in
+    place, at the same point of the stream
+    (:meth:`~repro.soc.rearm.Rearmer.apply`).
+    """
+
+    patches: Tuple[SessionPatch, ...]
 
 
 class MonitorSession:
@@ -118,8 +139,9 @@ class MonitorSession:
     def apply_patch(self, patch: SessionPatch) -> bool:
         """Patch the armed set in place (idempotent per token).
 
-        Runs on the owning shard worker's thread, between two events of
-        the stream — the session stays single-threaded and lock-free.
+        Runs between two events of the stream: on the owning shard
+        worker's thread, or on the re-arming thread while the shard is
+        idle and its queue lock held — one thread at a time either way.
         Monitors not named by the patch keep their obligation state
         (and their place in the routing index); replaced and added
         monitors enter fresh.  Returns False for an already-applied

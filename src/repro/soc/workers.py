@@ -38,7 +38,24 @@ from repro.soc.incidents import IncidentPipeline
 from repro.soc.metrics import MetricsRegistry
 from repro.soc.quarantine import DeadLetterQueue, Quarantine
 from repro.soc.queues import ShardQueue
-from repro.soc.sessions import MonitorSession, SessionPatch
+from repro.soc.sessions import MonitorSession, ShardPatch
+
+
+def apply_shard_patch(item: ShardPatch,
+                      sessions: Dict[str, MonitorSession],
+                      metrics: MetricsRegistry) -> None:
+    """Apply a re-arm item's patches to their hosts' sessions, counting
+    each as applied or, for an already-applied token, suppressed."""
+    applied = suppressed = 0
+    for patch in item.patches:
+        if sessions[patch.host_name].apply_patch(patch):
+            applied += 1
+        else:
+            suppressed += 1
+    if applied:
+        metrics.counter("soc.rearm.patches_applied").inc(applied)
+    if suppressed:
+        metrics.counter("soc.rearm.patches_suppressed").inc(suppressed)
 
 
 class ShardWorker:
@@ -200,6 +217,10 @@ class ShardWorker:
             if batch is None:       # queue closed and fully drained
                 break
             credited = 0
+            #: Patches past the first of each re-arm item: the item
+            #: is one queue credit but counts as processed once per
+            #: patch, as it did when every patch rode alone.
+            extra_patches = 0
             requeue: List[Tuple[str, object]] = []
             #: Events of hosts whose session failed earlier in this
             #: batch: deferred for redelivery (at the queue head, in
@@ -214,23 +235,30 @@ class ShardWorker:
                     if self.deposed:
                         requeue = batch[position:]
                         break
+                    if type(event) is ShardPatch:
+                        # Live re-arm: the patches rode the queue behind
+                        # the events they must not affect, so applying
+                        # them here is exact — no chaos draw, no
+                        # strikes, no seen-set (tokens make redelivery
+                        # idempotent).
+                        hosts = [patch.host_name for patch in event.patches]
+                        if blocked.intersection(hosts):
+                            # A host's failed events were deferred ahead
+                            # of its patch: the item waits behind them,
+                            # and the rest of this batch for its hosts
+                            # waits behind the item.
+                            deferred.append((host_name, event))
+                            blocked.update(hosts)
+                            continue
+                        apply_shard_patch(event, self.sessions,
+                                          self.metrics)
+                        credited += 1
+                        extra_patches += len(event.patches) - 1
+                        continue
                     if host_name in blocked:
                         deferred.append((host_name, event))
                         continue
                     session = self.sessions[host_name]
-                    if type(event) is SessionPatch:
-                        # Live re-arm: the patch rode the queue behind
-                        # the events it must not affect, so applying it
-                        # here is exact — no chaos draw, no strikes, no
-                        # seen-set (tokens make redelivery idempotent).
-                        if session.apply_patch(event):
-                            self.metrics.counter(
-                                "soc.rearm.patches_applied").inc()
-                        else:
-                            self.metrics.counter(
-                                "soc.rearm.patches_suppressed").inc()
-                        credited += 1
-                        continue
                     if session.already_observed(event):
                         # At-least-once ingress (chaos duplicates) made
                         # delivery redundant; the session's seen-set
@@ -321,9 +349,9 @@ class ShardWorker:
                 # so they requeue ahead of it (per-host order holds).
                 if deferred or requeue:
                     self.queue.requeue_front(deferred + requeue)
-                self.processed += credited
+                self.processed += credited + extra_patches
                 if credited:
-                    processed_counter.inc(credited)
+                    processed_counter.inc(credited + extra_patches)
                     self.queue.task_done_many(credited)
                 depth_gauge.set(self.queue.depth)
             if crashed:

@@ -272,3 +272,39 @@ class TestStepMonitors:
         }
         assert step_monitors(monitors, ["noise"]) == []
         assert all(m.steps_observed == 1 for m in monitors.values())
+
+
+class TestEventCompatible:
+    """The orchestrator's event-compatibility probe (one empty step
+    through the shared transition table) agrees with tree progression
+    on every pattern x scope mapping ``to_ltl`` supports."""
+
+    @staticmethod
+    def formulas():
+        import dataclasses
+
+        from repro.specpatterns import supported_combinations, to_ltl
+
+        for pattern_cls, scope_cls in supported_combinations():
+            pattern = pattern_cls(**{
+                f.name: 2 if f.name == "bound" else f.name
+                for f in dataclasses.fields(pattern_cls)})
+            scope = scope_cls(**{f.name: f.name
+                                 for f in dataclasses.fields(scope_cls)})
+            yield to_ltl(pattern, scope)
+        yield parse_ltl("G custom.flag")
+
+    def test_probe_matches_progression(self):
+        from repro.core.orchestrator import _event_compatible
+        from repro.ltl.monitor import progress
+
+        outcomes = []
+        for formula in self.formulas():
+            expected = progress(formula, frozenset()) is not FALSE
+            assert _event_compatible(LtlMonitor(formula)) is expected, \
+                formula
+            assert _event_compatible(CompiledMonitor(formula)) is expected
+            outcomes.append(expected)
+        assert len(outcomes) == 30
+        # Both answers occur, so the comparison is not vacuous.
+        assert set(outcomes) == {True, False}

@@ -78,6 +78,31 @@ class TestParser:
             parse_ltl(bad)
 
 
+class TestParseMemo:
+    def test_repeated_parse_returns_the_same_object(self):
+        text = "G (login.failed -> F account.locked)"
+        assert parse_ltl(text) is parse_ltl(text)
+
+    def test_repeat_is_served_from_the_memo(self):
+        text = "G !memo.probe.hit"
+        parse_ltl(text)
+        hits = parse_ltl.cache_info().hits
+        parse_ltl(text)
+        assert parse_ltl.cache_info().hits >= hits + 1
+
+    def test_malformed_text_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(LtlParseError):
+                parse_ltl("G (p & q")
+        for _ in range(2):
+            with pytest.raises(LtlParseError):
+                parse_ltl("p q")
+
+    def test_memo_is_bounded(self):
+        maxsize = parse_ltl.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+
 class TestSmartConstructors:
     def test_not_folding(self):
         assert lnot(TRUE) is FALSE

@@ -137,3 +137,33 @@ class TestDrain:
     def test_task_done_without_get_raises(self):
         with pytest.raises(ValueError):
             ShardQueue().task_done()
+
+
+class TestRunIfIdle:
+    def test_runs_only_with_nothing_queued_or_in_flight(self):
+        queue = ShardQueue()
+        calls = []
+        assert queue.run_if_idle(lambda: calls.append("empty"))
+        queue.put("work")
+        assert not queue.run_if_idle(lambda: calls.append("queued"))
+        assert queue.get() == "work"
+        assert not queue.run_if_idle(lambda: calls.append("in flight"))
+        queue.task_done()
+        assert queue.run_if_idle(lambda: calls.append("done"))
+        queue.close()
+        assert not queue.run_if_idle(lambda: calls.append("closed"))
+        assert calls == ["empty", "done"]
+
+    def test_producers_wait_until_it_returns(self):
+        queue = ShardQueue()
+        producer = threading.Thread(target=queue.put, args=("late",),
+                                    daemon=True)
+
+        def hold():
+            producer.start()
+            time.sleep(0.05)
+            assert queue.depth == 0
+
+        assert queue.run_if_idle(hold)
+        producer.join(1.0)
+        assert queue.get() == "late"

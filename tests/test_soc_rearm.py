@@ -410,3 +410,262 @@ class TestRearmer:
             stream.commit(delta)
         soc.stop()
         assert len(tokens) == len(set(tokens)) == 4
+
+
+# -- planning once per platform -----------------------------------------------
+
+
+class TestPerPlatformPlanning:
+    def test_mixed_fleet_delta_matches_cold_plan_per_host(self):
+        # R-1 binds findings of both platforms, so each platform plans
+        # it differently; R-L arms the same LTL monitor everywhere.
+        records = [rec("R-1", UBUNTU_FINDINGS[:2] + WINDOWS_FINDINGS[:2]),
+                   ltl_rec("R-L", "G !custom.one"),
+                   rec("R-X", UBUNTU_FINDINGS[6:8] + WINDOWS_FINDINGS[6:7])]
+        hosts = build_hosts(ubuntu=3, windows=2)
+        soc = arm(records, hosts)
+        stream = ReqStream()
+        stream.commit(stream.diff(records))
+        delta = stream.diff(
+            [rec("R-1", UBUNTU_FINDINGS[2:4] + WINDOWS_FINDINGS[2:4]),
+             ltl_rec("R-L", "G !custom.two"),
+             rec("R-2", UBUNTU_FINDINGS[4:6] + WINDOWS_FINDINGS[4:6])],
+            remove_rids=["R-X"])
+        assert (len(delta.added), len(delta.changed),
+                len(delta.removed)) == (1, 2, 1)
+        report = Rearmer(soc).apply(delta)
+        stream.commit(delta)
+        soc.drain()
+        soc.stop()
+        assert report.hosts_patched == len(hosts)
+        final = sorted(stream.armed(), key=lambda r: r.rid)
+        armed = []
+        for host in hosts:
+            cold_monitors, cold_bindings = plan_for_records(final, host,
+                                                            CATALOG)
+            session = soc.sessions[host.name]
+            assert set(session.monitors) == set(cold_monitors)
+            for req_id, monitor in session.monitors.items():
+                assert monitor.formula is cold_monitors[req_id].formula
+            assert {req_id: fids for req_id, fids
+                    in session.bindings.items() if fids} == cold_bindings
+            monitors, bindings = soc.plans[host.name]
+            assert {req_id: m.formula for req_id, m in monitors.items()} \
+                == {req_id: m.formula
+                    for req_id, m in cold_monitors.items()}
+            assert bindings == cold_bindings
+            armed.extend(session.monitors.values())
+        assert len({id(monitor) for monitor in armed}) == len(armed)
+        # The two platforms really did plan R-1 differently.
+        drift = {soc.sessions[h.name].monitors["R-1/drift"].formula
+                 for h in hosts}
+        assert len(drift) == 2
+
+    def test_delta_plans_each_record_once_per_platform(self, monkeypatch):
+        from repro.soc import rearm
+
+        records = [rec("R-1", UBUNTU_FINDINGS[:2]),
+                   rec("R-2", UBUNTU_FINDINGS[2:4])]
+        hosts = build_hosts(ubuntu=4)
+        soc = arm(records, hosts)
+        stream = ReqStream()
+        stream.commit(stream.diff(records))
+        calls = []
+        original = rearm.monitor_entries
+
+        def counting(record, host, catalog):
+            calls.append((id(record), host.os_family))
+            return original(record, host, catalog)
+
+        monkeypatch.setattr(rearm, "monitor_entries", counting)
+        delta = stream.diff([rec("R-1", UBUNTU_FINDINGS[4:6])])
+        index = RiskIndex(RiskScorer(fleet_size=len(hosts)))
+        report = Rearmer(soc, risk=index).apply(delta)
+        soc.stop()
+        # One call for the old and one for the new version of R-1 on
+        # the one platform, shared by planning and the risk refresh.
+        assert len(calls) == len(set(calls)) == 2
+        assert report.hosts_patched == len(hosts)
+        assert index.snapshot()["R-1"] > 0.0
+
+
+# -- thread delivery: in place on idle shards, queued on busy ones ------------
+
+
+PACKAGE_FINDINGS = [f for f in UBUNTU_FINDINGS
+                    if drift_atom(CATALOG, [f]) == "drift.package"]
+CONFIG_FINDINGS = [f for f in UBUNTU_FINDINGS
+                   if drift_atom(CATALOG, [f]) == "drift.config"]
+
+
+def unstarted(records, hosts, shards=1):
+    plans = {h.name: plan_for_records(records, h, CATALOG) for h in hosts}
+    return SocService(hosts, CATALOG, plans, shards=shards, seed=3,
+                      backend="thread")
+
+
+def package_drift(host):
+    """A real drift.package event of *host*, not yet delivered (the
+    service's ingress is attached only by ``start``)."""
+    host.drift_install_package("telnetd")
+    return host.events.last("drift.package")
+
+
+class TestThreadDelivery:
+    def test_idle_shards_are_patched_in_place(self):
+        records = [rec("R-1", PACKAGE_FINDINGS[:2])]
+        hosts = build_hosts(ubuntu=4)
+        soc = arm(records, hosts, shards=2)
+        soc.drain()
+        stream = ReqStream()
+        stream.commit(stream.diff(records))
+        delta = stream.diff([rec("R-1", CONFIG_FINDINGS[:1])])
+        report = Rearmer(soc).apply(delta, wait=False)
+        # Applied before apply() returned, without a queue item.
+        assert all(queue.unfinished == 0 for queue in soc.queues)
+        applied = set()
+        for host in hosts:
+            session = soc.sessions[host.name]
+            assert len(session._patched) == 1
+            applied |= session._patched
+            assert session.monitors["R-1/drift"].formula \
+                is parse_ltl("G !drift.config")
+        assert applied == set(report.tokens)
+        soc.stop()
+        counters = soc.metrics_snapshot()["counters"]
+        assert counters["soc.rearm.patches_sent"] == len(hosts)
+        assert counters["soc.rearm.patches_applied"] == len(hosts)
+        assert check_invariants(soc).violations == []
+
+    def test_busy_shard_queues_the_patch_behind_its_backlog(self):
+        records = [rec("R-1", PACKAGE_FINDINGS[:2])]
+        hosts = build_hosts(ubuntu=2)
+        soc = unstarted(records, hosts)
+        soc.queues[0].put(("web-00", package_drift(hosts[0])))
+        stream = ReqStream()
+        stream.commit(stream.diff(records))
+        delta = stream.diff([rec("R-1", CONFIG_FINDINGS[:1])])
+        Rearmer(soc).apply(delta, wait=False)
+        assert soc.queues[0].depth == 2
+        assert soc.sessions["web-00"]._patched == set()
+        soc.start()
+        soc.drain()
+        soc.stop()
+        # The drift queued first met the old package monitor.
+        assert [incident.req_id for incident
+                in soc.incidents_by_host()["web-00"]] == ["R-1/drift"]
+        for host in hosts:
+            assert soc.sessions[host.name].monitors["R-1/drift"].formula \
+                is parse_ltl("G !drift.config")
+
+    def test_patch_waits_behind_a_failed_hosts_deferred_events(self):
+        # web-00's drift fails once and is deferred; the shard item
+        # carrying both hosts' patches must wait behind it, and
+        # web-01's drift, queued after the item, behind the item.
+        records = [rec("R-1", PACKAGE_FINDINGS[:2])]
+        hosts = build_hosts(ubuntu=2)
+        soc = unstarted(records, hosts)
+        session = soc.sessions["web-00"]
+        observe = session.observe
+        failures = []
+
+        def fail_once(event):
+            if not failures:
+                failures.append(event)
+                raise RuntimeError("session fault")
+            return observe(event)
+
+        session.observe = fail_once
+        soc.queues[0].put(("web-00", package_drift(hosts[0])))
+        stream = ReqStream()
+        stream.commit(stream.diff(records))
+        delta = stream.diff([rec("R-1", CONFIG_FINDINGS[:1])])
+        Rearmer(soc).apply(delta, wait=False)
+        soc.queues[0].put(("web-01", package_drift(hosts[1])))
+        soc.start()
+        soc.drain()
+        soc.stop()
+        assert len(failures) == 1
+        by_host = soc.incidents_by_host()
+        assert [incident.req_id for incident
+                in by_host["web-00"]] == ["R-1/drift"]
+        # Observed after its patch: the package drift no longer trips R-1.
+        assert by_host.get("web-01", []) == []
+        counters = soc.metrics_snapshot()["counters"]
+        assert counters["soc.rearm.patches_applied"] == len(hosts)
+
+    def test_rearms_racing_ingress_keep_every_session_whole(self):
+        # More shards than cores, producers racing the re-arming thread
+        # and a short switch interval: whether a shard's patches were
+        # applied in place or queued, no session may lose a patch or
+        # end with a routing index that disagrees with its monitors.
+        import sys
+        import threading
+
+        from repro.ltl.compile import empty_step_stable
+
+        hosts = build_hosts(ubuntu=6)
+        records = [rec("R-1", PACKAGE_FINDINGS[:2]),
+                   ltl_rec("R-L", "G (custom.req -> X custom.ack)")]
+        soc = arm(records, hosts, shards=4)
+        stream = ReqStream()
+        stream.commit(stream.diff(records))
+        rearmer = Rearmer(soc)
+        tokens = []
+        stop = threading.Event()
+
+        def produce(group):
+            while not stop.is_set():
+                for host in group:
+                    host.events.emit("custom.req")
+                    host.events.emit("custom.ack")
+
+        producers = [threading.Thread(target=produce, args=(hosts[i::3],),
+                                      daemon=True) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for producer in producers:
+                producer.start()
+            for round_ in range(30):
+                findings = (CONFIG_FINDINGS[:1] if round_ % 2
+                            else PACKAGE_FINDINGS[:2])
+                ltl = ("G !custom.probe" if round_ % 3 == 0
+                       else "G (custom.req -> X custom.ack)")
+                delta = stream.diff([rec("R-1", findings),
+                                     ltl_rec("R-L", ltl)])
+                report = rearmer.apply(delta, wait=round_ % 2 == 0)
+                stream.commit(delta)
+                tokens.extend(report.tokens)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for producer in producers:
+                producer.join(5.0)
+        assert not any(producer.is_alive() for producer in producers)
+        soc.drain()
+        soc.stop()
+        assert set().union(*(soc.sessions[h.name]._patched
+                             for h in hosts)) == set(tokens)
+        final = sorted(stream.armed(), key=lambda r: r.rid)
+        for host in hosts:
+            cold_monitors, cold_bindings = plan_for_records(final, host,
+                                                            CATALOG)
+            session = soc.sessions[host.name]
+            assert {req_id: m.formula for req_id, m
+                    in session.monitors.items()} \
+                == {req_id: m.formula for req_id, m
+                    in cold_monitors.items()}
+            assert {req_id: fids for req_id, fids
+                    in session.bindings.items() if fids} == cold_bindings
+            watch, always = {}, set()
+            for req_id, monitor in session.monitors.items():
+                if empty_step_stable(monitor.obligation):
+                    for atom in monitor.obligation.atoms():
+                        watch.setdefault(atom, set()).add(req_id)
+                else:
+                    always.add(req_id)
+            assert {atom: ids for atom, ids in session._watch.items()
+                    if ids} == watch
+            assert session._always == always
+        assert check_invariants(soc).violations == []

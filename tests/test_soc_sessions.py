@@ -107,3 +107,52 @@ class TestBindings:
         session = MonitorSession(host, {}, bindings)
         bindings["R"].append("V-2")
         assert session.bindings == {"R": ["V-1"]}
+
+
+class TestRoutingIndexAcrossPatches:
+    """The routing index always equals one rebuilt from the monitors'
+    current obligations, however monitors were stepped, replaced,
+    removed or added in between."""
+
+    @staticmethod
+    def assert_index_is_fresh(session):
+        from repro.ltl.compile import empty_step_stable
+
+        watch, always = {}, set()
+        for req_id, monitor in session.monitors.items():
+            if empty_step_stable(monitor.obligation):
+                for atom in monitor.obligation.atoms():
+                    watch.setdefault(atom, set()).add(req_id)
+            else:
+                always.add(req_id)
+        assert {atom: watchers for atom, watchers
+                in session._watch.items() if watchers} == watch
+        assert session._always == always
+
+    def test_index_tracks_steps_and_patches(self):
+        from repro.soc.sessions import SessionPatch
+
+        _, session = make_session({"R": "G (a -> X b)",
+                                   "D": "G !drift.package",
+                                   "F": "F x"})
+        self.assert_index_is_fresh(session)
+        session.observe(event(0, "a"))      # R now needs b next
+        self.assert_index_is_fresh(session)
+        patches = [
+            # Replace D with a monitor over other atoms, drop F.
+            SessionPatch("s-host", 1,
+                         add=(("D", LtlMonitor(parse_ltl("G !drift.config")),
+                               ()),),
+                         remove=("F",)),
+            # Replace R mid-obligation, add a new monitor.
+            SessionPatch("s-host", 2,
+                         add=(("R", LtlMonitor(parse_ltl("G !c")), ()),
+                              ("N", LtlMonitor(parse_ltl("G (p -> X q)")),
+                               ()))),
+        ]
+        for time, patch in enumerate(patches, start=1):
+            assert session.apply_patch(patch)
+            self.assert_index_is_fresh(session)
+            session.observe(event(10 + time, "p"))
+            self.assert_index_is_fresh(session)
+        assert set(session.monitors) == {"R", "D", "N"}
