@@ -74,6 +74,20 @@ def _byte_lock(lock_type: int, byte: int) -> bytes:
     return struct.pack("hhqqi4x", lock_type, os.SEEK_SET, byte, 1, 0)
 
 
+def _in_dir(directory: Path, action):
+    """Run *action*, which opens a file in *directory*; where the
+    directory is missing, create it and run *action* once more.
+
+    A warm store never pays for the ``mkdir``: it happens only on the
+    first write to a fresh root, or after the root was removed.
+    """
+    try:
+        return action()
+    except FileNotFoundError:
+        directory.mkdir(parents=True, exist_ok=True)
+        return action()
+
+
 class CacheLockTimeout(RuntimeError):
     """A bucket's advisory lock could not be taken in time."""
 
@@ -155,9 +169,8 @@ class BucketStore:
             return
         payload = json.dumps({"entries": entries}, sort_keys=True,
                              separators=(",", ":"))
-        self.buckets_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(payload)
+        _in_dir(self.buckets_dir, lambda: tmp.write_text(payload))
         os.replace(tmp, path)
 
     # -- advisory locking ---------------------------------------------------
@@ -180,14 +193,14 @@ class BucketStore:
             self.stats.lock_timeouts += 1
             raise CacheLockTimeout(
                 f"injected lock timeout on bucket {prefix!r}")
-        self.locks_dir.mkdir(parents=True, exist_ok=True)
         deadline = time.monotonic() + self.lock_timeout_s
         if _OFD_SETLK is not None:
             # A fresh open file description per acquisition: the lock
             # is owned by it, so it also excludes this process's other
             # threads (and other stores on the same root).
-            fd = os.open(self.locks_dir / "buckets.lock",
-                         os.O_RDWR | os.O_CREAT, 0o644)
+            fd = _in_dir(self.locks_dir, lambda: os.open(
+                self.locks_dir / "buckets.lock",
+                os.O_RDWR | os.O_CREAT, 0o644))
             byte = int(prefix, 16)
             try:
                 while True:
@@ -215,7 +228,8 @@ class BucketStore:
             marker = self.locks_dir / f"{prefix}.excl"
             while True:
                 try:
-                    fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+                    fd = _in_dir(self.locks_dir, lambda: os.open(
+                        marker, os.O_CREAT | os.O_EXCL))
                     os.close(fd)
                     break
                 except FileExistsError:

@@ -25,28 +25,35 @@ semantics are crisp.
 Fast paths (the E15 prevention-plane optimization): guards, invariants
 and resets are pre-resolved at construction into flat ``(i, j, encoded
 bound)`` operation lists (no per-visit name lookups); discrete-step
-enumeration, urgency and per-state invariant lists are memoized by
-:class:`NetworkState`; zone intersection uses the DBM's O(n²)
+enumeration and urgency are memoized by :class:`NetworkState`, and each
+state's invariant and step ops are translated once to its zones' clock
+positions; zone intersection uses the DBM's O(n²)
 incremental re-closure; and the visited store keys zones by their
 canonical hash for O(1) exact-duplicate pruning before the inclusion
 scan.
 
 The fast path also applies UPPAAL's active-clock reduction (Daws &
-Yovine, RTSS 1996): a clock that is inactive at a location
-(:meth:`~repro.ta.automaton.TimedAutomaton.active_clocks`) is freed
-when its automaton enters that location.  A freed clock has no upper
-bound, so idle clocks no longer drift past the max constant and make
-extrapolation relax and re-close the whole zone.  Clocks a query's
-clock atoms read stay active everywhere.  The reduction preserves
-every verdict but explores a smaller zone graph, so
+Yovine, RTSS 1996) and carries it into the zones' representation: a
+symbolic state's zone spans only the clocks live at its discrete
+state — each automaton's clocks active at its location
+(:meth:`~repro.ta.automaton.TimedAutomaton.active_clocks`), plus the
+clocks a query's clock atoms read, which stay live everywhere.  A zone
+over ``n`` live clocks is an ``(n+1)²`` DBM however many clocks the
+network has, so every zone operation costs O(live²), and dead clocks
+never drift past the max constant to make extrapolation relax and
+re-close the zone.  One :meth:`~repro.ta.dbm.DBM.project` per discrete
+step builds the target zone from the guarded source zone: a target
+clock the step resets reads the reference clock, any other is active
+at the source too, and clocks that die are dropped.  The reduction
+preserves every verdict but explores a smaller zone graph, so
 ``states_explored`` and witnesses differ from the unreduced graph;
 :data:`CHECKER_VERSION` names that change for the verdict caches.
 
 Construct with ``fast=False`` to get the unreduced, unoptimized
 reference oracle — full Floyd-Warshall per constraint, fresh
-enumeration per visit, linear inclusion scans, no clock freeing —
-which the E15 bench measures the fast engine against and the
-equivalence tests compare verdicts with.
+enumeration per visit, linear inclusion scans, every zone over every
+clock of the network — which the E15 bench measures the fast engine
+against and the equivalence tests compare verdicts with.
 
 :class:`DiscreteTimeChecker` is the ablation engine (experiment E6): it
 enumerates integer clock valuations capped at ``max_constant + 1`` and
@@ -69,7 +76,11 @@ from repro.ta.system import ComposedStep, Network, NetworkState
 #: folds it in, so cached verdicts of an older checker miss and are
 #: re-checked instead of being mixed in.  Version 2: the active-clock
 #: reduction, and state formulas decided exactly per valuation.
-CHECKER_VERSION = 2
+#: Version 3: zones span only their state's live clocks.  A dead clock
+#: no longer carries the lower bound a delay gave it, so zones that
+#: differed only in such bounds merge: the same ``satisfied`` verdicts,
+#: but sometimes fewer ``states_explored`` or another witness.
+CHECKER_VERSION = 3
 
 
 @dataclass
@@ -117,40 +128,72 @@ def _query_constant(formulas: Iterable[StateFormula]) -> int:
                 if atom.constraint is not None), default=0)
 
 
+class _Layout:
+    """Where the zones of one discrete state keep their clocks.
+
+    ``clocks`` lists, ascending, the global ids of the clocks the
+    state's zones span (zone clock ``a`` is global clock
+    ``clocks[a - 1]``); ``pos`` maps each of them to its zone position,
+    and the reference clock 0 to 0; ``inv`` is the state's invariant as
+    ``(i, j, encoded bound)`` ops over zone positions.  Two tables fill
+    on first use: ``moves`` holds one successor plan per discrete step
+    from the state — ``(step, guard ops, projection sources, target
+    layout, target urgent)`` — and ``enabling`` the ops of each step's
+    enabling set, or None where no valuation enables it.
+    """
+
+    __slots__ = ("clocks", "pos", "inv", "moves", "enabling")
+
+    def __init__(self, clocks: Tuple[int, ...], pos: Dict[int, int],
+                 inv: Optional[tuple]):
+        self.clocks = clocks
+        self.pos = pos
+        self.inv = inv
+        self.moves: Optional[tuple] = None
+        self.enabling: Optional[tuple] = None
+
+
 class _ZoneGraph:
     """The zone graph one query explores.
 
-    ``k`` is its extrapolation constant.  ``free`` lists, per automaton
-    and location, the clocks freed on entering it; ``succ`` memoizes the
-    successors of its symbolic states.  Both are None on the unreduced
-    reference path.
+    ``k`` is its extrapolation constant.  ``keep`` lists, per automaton
+    and location, the global ids of the clocks a zone keeps while the
+    automaton is there: those active at the location and those the
+    query's clock atoms pin, ascending.  ``layouts`` memoizes each
+    discrete state's :class:`_Layout`, and ``succ`` the successors of
+    its symbolic states.  All three are None on the unreduced reference
+    path, whose zones span every clock.
     """
 
-    __slots__ = ("k", "free", "succ")
+    __slots__ = ("k", "keep", "layouts", "succ")
 
     def __init__(self, k: int,
-                 free: Optional[List[Dict[str, Tuple[int, ...]]]] = None):
+                 keep: Optional[List[Dict[str, Tuple[int, ...]]]] = None):
         self.k = k
-        self.free = free
+        self.keep = keep
+        self.layouts: Optional[Dict[NetworkState, _Layout]] = (
+            None if keep is None else {})
         self.succ: Optional[Dict[Tuple[NetworkState, tuple], tuple]] = (
-            None if free is None else {})
+            None if keep is None else {})
 
 
 class ZoneGraphChecker:
     """Model checker over one network's zone graph.
 
     ``fast`` (default) enables the precomputed-table + memoization +
-    incremental-closure engine with the active-clock reduction;
+    incremental-closure engine with the active-clock reduction, whose
+    zones span only the clocks live at their discrete state;
     ``fast=False`` is the unreduced reference oracle for ablation
     benchmarks and equivalence tests: the same verdicts, but the full
     zone graph and its state counts.
 
     A checker holds no per-query state, only memos of the network's
-    symbolic semantics (discrete steps, urgency, invariants, and the
-    successors of each visited symbolic state).  The successor memo is
-    kept per set of pinned clocks (those a query's clock atoms read)
-    and extrapolation constant, so successors built under different
-    reductions never mix.  Any number of
+    symbolic semantics (discrete steps, urgency, each discrete state's
+    clock layout and step plans, and the successors of each visited
+    symbolic state).  Layouts and successors are kept per set of pinned
+    clocks (those a query's clock atoms read) and extrapolation
+    constant, so states built under different reductions never mix.
+    Any number of
     queries may run on one checker, one at a time, and each gets the
     verdict a fresh checker would give.  The memos live as long as the
     checker: :class:`~repro.core.gates.VerificationGate` builds one per
@@ -188,7 +231,6 @@ class ZoneGraphChecker:
                                                   constraint))
                 self._loc_inv.append(table)
             # Per-NetworkState memos, filled lazily during exploration.
-            self._state_inv: Dict[NetworkState, tuple] = {}
             self._steps: Dict[NetworkState, Tuple[ComposedStep, ...]] = {}
             self._urgent: Dict[NetworkState, bool] = {}
             # Active clocks per (automaton, location), as global ids.
@@ -202,6 +244,11 @@ class ZoneGraphChecker:
             # repeated checks on this checker walk its cached edges
             # instead of redoing the DBM algebra.
             self._graphs: Dict[Tuple[FrozenSet[int], int], _ZoneGraph] = {}
+        else:
+            # The reference path's zones span every clock.
+            clocks = tuple(range(1, network.clock_count + 1))
+            self._full_layout = _Layout(
+                clocks, {clock: clock for clock in (0,) + clocks}, None)
 
     # -- symbolic semantics ----------------------------------------------------
 
@@ -213,19 +260,10 @@ class ZoneGraphChecker:
                                            constraint):
             zone.constrain_full(i, j, bound)
 
-    def _invariant_ops(self, state: NetworkState) -> tuple:
-        ops = self._state_inv.get(state)
-        if ops is None:
-            parts = []
-            for index, table in enumerate(self._loc_inv):
-                parts.extend(table[state.location_of(index)])
-            ops = tuple(parts)
-            self._state_inv[state] = ops
-        return ops
-
-    def _apply_invariants(self, zone: DBM, state: NetworkState) -> None:
+    def _apply_invariants(self, zone: DBM, state: NetworkState,
+                          layout: _Layout) -> None:
         if self._fast:
-            for i, j, bound in self._invariant_ops(state):
+            for i, j, bound in layout.inv:
                 zone.constrain(i, j, bound)
         else:
             for automaton, constraint in self.network.invariants_at(state):
@@ -255,7 +293,7 @@ class ZoneGraphChecker:
         It extrapolates at the larger of the network's and the query's
         max constant, so clock atoms comparing beyond the network's
         constants are decided exactly too.  On the fast path clocks the
-        formulas' clock atoms read stay active at every location.
+        formulas' clock atoms read stay live at every location.
         """
         k = max(self._k, _query_constant(formulas))
         if not self._fast:
@@ -270,118 +308,197 @@ class ZoneGraphChecker:
             if clock)
         graph = self._graphs.get((pinned, k))
         if graph is None:
-            free = []
+            keep = []
             for automaton, table in zip(network.automata, self._active):
-                clocks = {network.global_clock(automaton, clock)
-                          for clock in automaton.clocks} - pinned
-                free.append({name: tuple(sorted(clocks - active))
+                mine = pinned.intersection(
+                    network.global_clock(automaton, clock)
+                    for clock in automaton.clocks)
+                keep.append({name: tuple(sorted(active | mine))
                              for name, active in table.items()})
-            graph = self._graphs[(pinned, k)] = _ZoneGraph(k, free)
+            graph = self._graphs[(pinned, k)] = _ZoneGraph(k, keep)
         return graph
 
-    def _initial(self, graph: _ZoneGraph) -> Tuple[NetworkState, DBM]:
+    def _layout(self, graph: _ZoneGraph, state: NetworkState) -> _Layout:
+        """*state*'s clock layout in *graph*.
+
+        Global clock ids ascend with the automaton that owns them, so
+        chaining each automaton's kept clocks in network order lists
+        the state's clocks sorted.
+        """
+        if graph.layouts is None:
+            return self._full_layout
+        layout = graph.layouts.get(state)
+        if layout is None:
+            clocks = tuple(clock
+                           for index, location in enumerate(state.locations)
+                           for clock in graph.keep[index][location])
+            pos = {clock: a for a, clock in enumerate(clocks, 1)}
+            pos[0] = 0
+            inv = tuple((pos[i], pos[j], bound)
+                        for index, location in enumerate(state.locations)
+                        for i, j, bound in self._loc_inv[index][location])
+            layout = graph.layouts[state] = _Layout(clocks, pos, inv)
+        return layout
+
+    def _moves(self, graph: _ZoneGraph, state: NetworkState,
+               layout: _Layout) -> tuple:
+        """The successor plans of *state* (see :class:`_Layout`).
+
+        Guards read clocks active at the source, so their ops translate
+        to the source layout.  A target clock the step resets projects
+        from the reference clock; any other target clock is active at
+        the source as well (the active-clock fixpoint carries it back
+        along every edge that does not reset it), so the projection
+        never needs a clock the source zone dropped.
+        """
+        moves = layout.moves
+        if moves is None:
+            pos = layout.pos
+            plans = []
+            for step in self._steps_from(state):
+                target = self._layout(graph, step.target)
+                guard = []
+                reset = set()
+                for move in step.edges:
+                    guard.extend((pos[i], pos[j], bound)
+                                 for i, j, bound in self._guard_ops[move])
+                    reset.update(self._reset_ids[move])
+                sources = (0,) + tuple(0 if clock in reset else pos[clock]
+                                       for clock in target.clocks)
+                plans.append((step, tuple(guard), sources, target,
+                              self._is_urgent(step.target)))
+            moves = layout.moves = tuple(plans)
+        return moves
+
+    def _initial(self, graph: _ZoneGraph
+                 ) -> Tuple[NetworkState, _Layout, DBM]:
         state = self.network.initial_state()
-        zone = DBM.zero(self.network.clock_count)
-        if graph.free is not None:
-            for index, location in enumerate(state.locations):
-                for clock_id in graph.free[index][location]:
-                    zone.free(clock_id)
+        layout = self._layout(graph, state)
+        zone = DBM.zero(len(layout.clocks))
         if not self._is_urgent(state):
             zone.up()
-        self._apply_invariants(zone, state)
+        self._apply_invariants(zone, state, layout)
         if self._fast:
             zone.extrapolate_fast(graph.k)
         else:
             zone.extrapolate(graph.k)
-        return state, zone
+        return state, layout, zone
 
-    def _successors(self, state: NetworkState, zone: DBM, graph: _ZoneGraph
-                    ) -> Iterable[Tuple[ComposedStep, NetworkState, DBM]]:
+    def _successors(self, state: NetworkState, layout: _Layout, zone: DBM,
+                    graph: _ZoneGraph
+                    ) -> Iterable[Tuple[ComposedStep, NetworkState, _Layout,
+                                        DBM]]:
         if graph.succ is None:
-            return self._compute_successors(state, zone, graph)
+            return self._reference_successors(state, zone, graph)
         memo_key = (state, zone.key())
         cached = graph.succ.get(memo_key)
         if cached is None:
-            cached = tuple(self._compute_successors(state, zone, graph))
+            cached = tuple(self._compute_successors(state, layout, zone,
+                                                    graph))
             graph.succ[memo_key] = cached
         return cached
 
-    def _compute_successors(self, state: NetworkState, zone: DBM,
-                            graph: _ZoneGraph
+    def _compute_successors(self, state: NetworkState, layout: _Layout,
+                            zone: DBM, graph: _ZoneGraph
                             ) -> Iterable[Tuple[ComposedStep, NetworkState,
-                                                DBM]]:
-        fast = self._fast
+                                                _Layout, DBM]]:
+        """Fast path: guard the source zone, project it onto the target's
+        clocks, then invariants, delay, invariants and extrapolation."""
+        if zone.is_empty():
+            # Only an initial zone can be: its invariant may exclude 0.
+            # A projection would drop the clock that shows the conflict.
+            return
+        k = graph.k
+        for step, guard, sources, target, urgent in self._moves(
+                graph, state, layout):
+            source = zone
+            if guard:
+                source = zone.copy()
+                for i, j, bound in guard:
+                    source.constrain(i, j, bound)
+                if source.is_empty():
+                    continue
+            successor = source.project(sources)
+            invariant = target.inv
+            if invariant:
+                for i, j, bound in invariant:
+                    successor.constrain(i, j, bound)
+                if successor.is_empty():
+                    continue
+            if not urgent:
+                successor.up()
+                if invariant:
+                    for i, j, bound in invariant:
+                        successor.constrain(i, j, bound)
+                    if successor.is_empty():
+                        continue
+            successor.extrapolate_fast(k)
+            yield step, step.target, target, successor
+
+    def _reference_successors(self, state: NetworkState, zone: DBM,
+                              graph: _ZoneGraph
+                              ) -> Iterable[Tuple[ComposedStep, NetworkState,
+                                                  _Layout, DBM]]:
+        """Unreduced path: every zone spans every clock."""
+        layout = self._full_layout
         for step in self._steps_from(state):
             successor = zone.copy()
             feasible = True
             for index, edge in step.edges:
-                if fast:
-                    for i, j, bound in self._guard_ops[(index, edge)]:
-                        successor.constrain(i, j, bound)
-                else:
-                    automaton = self.network.automata[index]
-                    for constraint in edge.guard:
-                        self._apply_constraint(successor, automaton,
-                                               constraint)
+                automaton = self.network.automata[index]
+                for constraint in edge.guard:
+                    self._apply_constraint(successor, automaton, constraint)
                 if successor.is_empty():
                     feasible = False
                     break
             if not feasible:
                 continue
             for index, edge in step.edges:
-                if fast:
-                    for clock_id in self._reset_ids[(index, edge)]:
-                        successor.reset(clock_id)
-                else:
-                    automaton = self.network.automata[index]
-                    for clock in edge.resets:
-                        successor.reset(
-                            self.network.global_clock(automaton, clock))
-            if graph.free is not None:
-                for index, edge in step.edges:
-                    for clock_id in graph.free[index][edge.target]:
-                        successor.free(clock_id)
-            self._apply_invariants(successor, step.target)
+                automaton = self.network.automata[index]
+                for clock in edge.resets:
+                    successor.reset(
+                        self.network.global_clock(automaton, clock))
+            self._apply_invariants(successor, step.target, layout)
             if successor.is_empty():
                 continue
             if not self._is_urgent(step.target):
                 successor.up()
-                self._apply_invariants(successor, step.target)
+                self._apply_invariants(successor, step.target, layout)
                 if successor.is_empty():
                     continue
-            if fast:
-                successor.extrapolate_fast(graph.k)
-            else:
-                successor.extrapolate(graph.k)
-            yield step, step.target, successor
+            successor.extrapolate(graph.k)
+            yield step, step.target, layout, successor
 
     def _holds(self, formula: StateFormula, state: NetworkState,
-               zone: DBM) -> bool:
+               layout: _Layout, zone: DBM) -> bool:
         """Existential zone evaluation: does some valuation of *zone*
         satisfy *formula*?"""
-        return bool(self._satisfying(formula, state, zone, zone))
+        return bool(self._satisfying(formula, state, layout, zone, zone))
 
     def _satisfying(self, formula: StateFormula, state: NetworkState,
-                    zone: DBM, part: DBM) -> List[DBM]:
+                    layout: _Layout, zone: DBM, part: DBM) -> List[DBM]:
         """Zones covering the valuations of *part* (a sub-zone of the
-        state's *zone*) that satisfy *formula*; empty when none does.
+        state's *zone*, both laid out by *layout*) that satisfy
+        *formula*; empty when none does.
 
         Exact for every state formula: a conjunction decides its right
         side on the zones its left side leaves, so ``x > 3 and x < 2``
         never holds, and a disjunction keeps both sides' zones.  The
         formula is in negation normal form, so only location and
-        ``deadlock`` atoms come negated.
+        ``deadlock`` atoms come negated.  The clocks a clock atom reads
+        are pinned, so every layout of the query's graph has them.
         """
         kind = formula.kind
         if kind == "or":
-            return (self._satisfying(formula.left, state, zone, part)
-                    + self._satisfying(formula.right, state, zone, part))
+            return (self._satisfying(formula.left, state, layout, zone, part)
+                    + self._satisfying(formula.right, state, layout, zone,
+                                       part))
         if kind == "and":
             return [piece
-                    for left in self._satisfying(formula.left, state, zone,
-                                                 part)
+                    for left in self._satisfying(formula.left, state, layout,
+                                                 zone, part)
                     for piece in self._satisfying(formula.right, state,
-                                                  zone, left)]
+                                                  layout, zone, left)]
         atom = formula.atom
         positive = kind == "atom"
         if atom.is_location:
@@ -389,20 +506,21 @@ class ZoneGraphChecker:
             at = state.location_of(index) == atom.location
             return [part] if at == positive else []
         if atom.is_deadlock:
-            return self._deadlocked(state, zone, part, positive)
+            return self._deadlocked(state, layout, zone, part, positive)
         automaton = self.network.automata[
             self.network.automaton_index(atom.automaton)]
+        pos = layout.pos
         probe = part.copy()
         for i, j, bound in _constraint_ops(self.network, automaton,
                                            atom.constraint):
             if self._fast:
-                probe.constrain(i, j, bound)
+                probe.constrain(pos[i], pos[j], bound)
             else:
                 probe.constrain_full(i, j, bound)
         return [] if probe.is_empty() else [probe]
 
-    def _deadlocked(self, state: NetworkState, zone: DBM, part: DBM,
-                    deadlocked: bool = True) -> List[DBM]:
+    def _deadlocked(self, state: NetworkState, layout: _Layout, zone: DBM,
+                    part: DBM, deadlocked: bool = True) -> List[DBM]:
         """Zones covering the valuations of *part* that are deadlocked
         (UPPAAL's ``deadlock``: no discrete step enabled now or after
         any delay the invariants admit), or with *deadlocked* False
@@ -418,9 +536,13 @@ class ZoneGraphChecker:
         """
         delay = not self._is_urgent(state)
         enabling = []
-        for step in self._steps_from(state):
-            enabled = self._enabling(step, zone)
-            if enabled is None:
+        for ops in self._enabling(state, layout):
+            if ops is None:
+                continue
+            enabled = zone.copy()
+            for i, j, bound in ops:
+                enabled.constrain(i, j, bound)
+            if enabled.is_empty():
                 continue
             if delay:
                 enabled.down()
@@ -438,19 +560,35 @@ class ZoneGraphChecker:
                 break
         return left
 
-    def _enabling(self, step: ComposedStep, zone: DBM) -> Optional[DBM]:
-        """The valuations of *zone* from which *step* fires now: its
-        guards hold, and so do the target's invariants once the step's
-        resets are applied (a reset clock reads as the zero clock)."""
+    def _enabling(self, state: NetworkState, layout: _Layout) -> tuple:
+        """Per discrete step from *state*, the ops that cut a zone of it
+        down to the valuations from which the step fires now, or None
+        for a step no valuation enables.  Resolved once per layout on
+        the fast path."""
+        if layout.enabling is not None:
+            return layout.enabling
+        enabling = tuple(self._enabling_ops(step, layout.pos)
+                         for step in self._steps_from(state))
+        if self._fast:
+            layout.enabling = enabling
+        return enabling
+
+    def _enabling_ops(self, step: ComposedStep, pos: Dict[int, int]
+                      ) -> Optional[tuple]:
+        """The ops of *step*'s enabling set: its guards, and the
+        target's invariants once the step's resets are applied (a reset
+        clock reads as the zero clock), over the zone positions *pos*.
+
+        A guard clock is active at the source, and so is a target
+        invariant clock the step does not reset, so *pos* has them all.
+        """
         network = self.network
-        enabled = zone.copy()
+        ops = []
         reset = set()
         for index, edge in step.edges:
             automaton = network.automata[index]
             for constraint in edge.guard:
-                for i, j, bound in _constraint_ops(network, automaton,
-                                                   constraint):
-                    enabled.constrain(i, j, bound)
+                ops.extend(_constraint_ops(network, automaton, constraint))
             reset.update(network.global_clock(automaton, clock)
                          for clock in edge.resets)
         for automaton, constraint in network.invariants_at(step.target):
@@ -459,15 +597,15 @@ class ZoneGraphChecker:
                 i = 0 if i in reset else i
                 j = 0 if j in reset else j
                 if i != j:
-                    enabled.constrain(i, j, bound)
+                    ops.append((i, j, bound))
                 elif bound < LE_ZERO:
                     return None       # "0 - 0 < 0" or "0 <= -c"
-        return None if enabled.is_empty() else enabled
+        return tuple((pos[i], pos[j], bound) for i, j, bound in ops)
 
     # -- exploration -------------------------------------------------------------
 
     def _explore(self, graph: _ZoneGraph
-                 ) -> Iterable[Tuple[NetworkState, DBM, List[str]]]:
+                 ) -> Iterable[Tuple[NetworkState, _Layout, DBM, List[str]]]:
         """Lazily enumerate reachable symbolic states with witness paths.
 
         Inclusion-checking: a new zone subsumed by an already-stored
@@ -476,18 +614,19 @@ class ZoneGraphChecker:
         canonical hash key — repeat zones (the common case) prune in
         O(1) before the inclusion scan runs.
         """
-        initial_state, initial_zone = self._initial(graph)
+        initial_state, layout, initial_zone = self._initial(graph)
         if self._fast:
-            yield from self._explore_fast(initial_state, initial_zone, graph)
+            yield from self._explore_fast(initial_state, layout,
+                                          initial_zone, graph)
             return
         stored: Dict[NetworkState, List[DBM]] = {
             initial_state: [initial_zone]}
         queue = deque([(initial_state, initial_zone, [])])
-        yield initial_state, initial_zone, []
+        yield initial_state, layout, initial_zone, []
         while queue:
             state, zone, path = queue.popleft()
-            for step, next_state, next_zone in self._successors(state, zone,
-                                                                graph):
+            for step, next_state, next_layout, next_zone in \
+                    self._successors(state, layout, zone, graph):
                 existing = stored.setdefault(next_state, [])
                 if any(old.includes(next_zone) for old in existing):
                     continue
@@ -495,20 +634,22 @@ class ZoneGraphChecker:
                                if not next_zone.includes(old)]
                 existing.append(next_zone)
                 next_path = path + [step.label]
-                yield next_state, next_zone, next_path
+                yield next_state, next_layout, next_zone, next_path
                 queue.append((next_state, next_zone, next_path))
 
-    def _explore_fast(self, initial_state: NetworkState, initial_zone: DBM,
+    def _explore_fast(self, initial_state: NetworkState,
+                      initial_layout: _Layout, initial_zone: DBM,
                       graph: _ZoneGraph
-                      ) -> Iterable[Tuple[NetworkState, DBM, List[str]]]:
+                      ) -> Iterable[Tuple[NetworkState, _Layout, DBM,
+                                          List[str]]]:
         stored: Dict[NetworkState, Dict[tuple, DBM]] = {
             initial_state: {initial_zone.key(): initial_zone}}
-        queue = deque([(initial_state, initial_zone, [])])
-        yield initial_state, initial_zone, []
+        queue = deque([(initial_state, initial_layout, initial_zone, [])])
+        yield initial_state, initial_layout, initial_zone, []
         while queue:
-            state, zone, path = queue.popleft()
-            for step, next_state, next_zone in self._successors(state, zone,
-                                                                graph):
+            state, layout, zone, path = queue.popleft()
+            for step, next_state, next_layout, next_zone in \
+                    self._successors(state, layout, zone, graph):
                 bucket = stored.setdefault(next_state, {})
                 zone_key = next_zone.key()
                 if zone_key in bucket:
@@ -522,8 +663,8 @@ class ZoneGraphChecker:
                     del bucket[key]
                 bucket[zone_key] = next_zone
                 next_path = path + [step.label]
-                yield next_state, next_zone, next_path
-                queue.append((next_state, next_zone, next_path))
+                yield next_state, next_layout, next_zone, next_path
+                queue.append((next_state, next_layout, next_zone, next_path))
 
     # -- queries -----------------------------------------------------------------
 
@@ -531,9 +672,9 @@ class ZoneGraphChecker:
         """``E<> φ``: is some φ-state reachable?"""
         graph = self._graph(formula)
         explored = 0
-        for state, zone, path in self._explore(graph):
+        for state, layout, zone, path in self._explore(graph):
             explored += 1
-            if self._holds(formula, state, zone):
+            if self._holds(formula, state, layout, zone):
                 return CheckResult(True, f"E<> {formula}", explored, path)
         return CheckResult(False, f"E<> {formula}", explored)
 
@@ -583,12 +724,12 @@ class ZoneGraphChecker:
             raise ValueError("leads-to is restricted to location formulas")
         graph = self._graph(premise, conclusion)
         explored = 0
-        for state, zone, path in self._explore(graph):
+        for state, layout, zone, path in self._explore(graph):
             explored += 1
-            if not self._holds(premise, state, zone):
+            if not self._holds(premise, state, layout, zone):
                 continue
             run, run_explored = self._find_phi_avoiding_run(
-                conclusion, graph, root=(state, zone))
+                conclusion, graph, root=(state, layout, zone))
             explored += run_explored
             if run is not None:
                 return CheckResult(
@@ -612,10 +753,10 @@ class ZoneGraphChecker:
 
     # -- liveness core -------------------------------------------------------------
 
-    def _find_phi_avoiding_run(self, formula: StateFormula,
-                               graph: _ZoneGraph,
-                               root: Optional[Tuple[NetworkState, DBM]] = None
-                               ) -> Tuple[Optional[List[str]], int]:
+    def _find_phi_avoiding_run(
+            self, formula: StateFormula, graph: _ZoneGraph,
+            root: Optional[Tuple[NetworkState, _Layout, DBM]] = None
+    ) -> Tuple[Optional[List[str]], int]:
         """Find a maximal run avoiding φ: a cycle or a deadlock inside
         the ¬φ-subgraph.  Returns its step labels (or None) and the
         number of symbolic states the search explored.
@@ -630,31 +771,35 @@ class ZoneGraphChecker:
         avoided = formula.negate()
         if root is None:
             root = self._initial(graph)
-        root_state, root_zone = root
-        if not self._holds(avoided, root_state, root_zone):
+        root_state, root_layout, root_zone = root
+        if not self._holds(avoided, root_state, root_layout, root_zone):
             return None, 0
-        if self._time_divergent(root_state, root_zone, avoided, graph.k):
+        if self._time_divergent(root_state, root_layout, root_zone, avoided,
+                                graph.k):
             return ["(time divergence)"], 0
         # Iterative DFS with an explicit on-stack set for cycle detection.
         Key = Tuple[NetworkState, tuple]
         root_key: Key = (root_state, root_zone.key())
         visited: Set[Key] = set()
         on_stack: Set[Key] = set()
-        # Frames: (key, state, zone, successor iterator, labels-so-far).
-        stack = [(root_key, root_state, root_zone,
-                  iter(list(self._successors(root_state, root_zone, graph))),
+        # Frames: (key, state, layout, zone, successor iterator,
+        # labels-so-far).
+        stack = [(root_key, root_state, root_layout, root_zone,
+                  iter(list(self._successors(root_state, root_layout,
+                                             root_zone, graph))),
                   [])]
         visited.add(root_key)
         on_stack.add(root_key)
         explored = 1
         while stack:
-            key, state, zone, successors, labels = stack[-1]
+            key, state, layout, zone, successors, labels = stack[-1]
             advanced = False
-            for step, next_state, next_zone in successors:
-                if not self._holds(avoided, next_state, next_zone):
+            for step, next_state, next_layout, next_zone in successors:
+                if not self._holds(avoided, next_state, next_layout,
+                                   next_zone):
                     continue  # this branch reaches φ at the next state
-                if self._time_divergent(next_state, next_zone, avoided,
-                                        graph.k):
+                if self._time_divergent(next_state, next_layout, next_zone,
+                                        avoided, graph.k):
                     return (labels + [step.label, "(time divergence)"],
                             explored)
                 next_key: Key = (next_state, next_zone.key())
@@ -666,9 +811,9 @@ class ZoneGraphChecker:
                 on_stack.add(next_key)
                 explored += 1
                 stack.append((
-                    next_key, next_state, next_zone,
-                    iter(list(self._successors(next_state, next_zone,
-                                               graph))),
+                    next_key, next_state, next_layout, next_zone,
+                    iter(list(self._successors(next_state, next_layout,
+                                               next_zone, graph))),
                     labels + [step.label],
                 ))
                 advanced = True
@@ -677,15 +822,15 @@ class ZoneGraphChecker:
                 continue
             # All successors examined: a valuation with no way out ends
             # a maximal run here if it still avoids φ.
-            if any(self._satisfying(avoided, state, zone, piece)
-                   for piece in self._deadlocked(state, zone, zone)):
+            if any(self._satisfying(avoided, state, layout, zone, piece)
+                   for piece in self._deadlocked(state, layout, zone, zone)):
                 return labels + ["(deadlock)"], explored
             stack.pop()
             on_stack.discard(key)
         return None, explored
 
-    def _time_divergent(self, state: NetworkState, zone: DBM,
-                        avoided: StateFormula, k: int) -> bool:
+    def _time_divergent(self, state: NetworkState, layout: _Layout,
+                        zone: DBM, avoided: StateFormula, k: int) -> bool:
         """Can the system wait forever in *state* while φ stays false?
 
         Waiting is possible in a non-urgent state whose (delay-closed,
@@ -697,6 +842,8 @@ class ZoneGraphChecker:
         valuation can still take, so the wait avoids φ iff some
         valuation of the zone past *k* satisfies *avoided* (¬φ); this
         only differs from the caller's check when φ reads ``deadlock``.
+        A clock the zone dropped is read by nothing before its next
+        reset, so the zone's own clocks decide both.
         """
         if self._is_urgent(state):
             return False
@@ -709,7 +856,7 @@ class ZoneGraphChecker:
         beyond = encode(-k, strict=True)          # 0 - xi < -k
         for i in range(1, n + 1):
             tail.constrain(0, i, beyond)
-        return bool(self._satisfying(avoided, state, zone, tail))
+        return bool(self._satisfying(avoided, state, layout, zone, tail))
 
 
 class DiscreteTimeChecker:

@@ -15,8 +15,9 @@ addition is ``b1 + b2 - ((b1 & 1) & (b2 & 1) ... )`` — implemented in
 The operations are the textbook set (Bengtsson & Yi, "Timed Automata:
 Semantics, Algorithms and Tools"): canonicalization (Floyd-Warshall),
 emptiness, ``up`` (delay), ``reset``, ``free`` (forget a clock),
-``constrain`` (guard intersection), inclusion, difference, and
-max-constant extrapolation for zone-graph termination.
+``project`` (reset, drop and reorder clocks in one pass), ``constrain``
+(guard intersection), inclusion, difference, and max-constant
+extrapolation for zone-graph termination.
 
 Storage is a single flat list of ``(n+1)²`` encoded bounds in row-major
 order (``m[i*(n+1)+j]`` is the bound on ``xi - xj``): one allocation
@@ -228,9 +229,7 @@ class DBM:
 
         The row becomes infinite and the column copies column 0, since
         the tightest bound on ``xi - clock`` left is ``xi``'s own upper
-        bound.  The zone checker frees clocks that are inactive at a
-        location, so they carry no upper bound for extrapolation to
-        relax.
+        bound.
         """
         dim = self.dim
         m = self.m
@@ -240,6 +239,27 @@ class DBM:
             m[j * dim + clock] = m[j * dim]       # column 0 -> column clock
         m[base + clock] = LE_ZERO
         return self
+
+    def project(self, sources: Sequence[int]) -> "DBM":
+        """A new zone over ``len(sources) - 1`` clocks: clock ``a`` of
+        the result is clock ``sources[a]`` of self, and ``sources[0]``
+        must be 0.  A slot mapped to 0 is a clock reset to zero; a clock
+        of self no slot names is dropped.
+
+        One pass builds the target of a discrete step from its source
+        zone, in place of a ``reset`` per reset clock and a ``free`` per
+        forgotten clock.  A sub-matrix of a closed matrix is closed, and
+        a slot mapped to 0 repeats row and column 0, so the projection
+        of a canonical non-empty zone is canonical.
+        """
+        dim = self.dim
+        m = self.m
+        zone = DBM.__new__(DBM)
+        zone.n = len(sources) - 1
+        zone.dim = len(sources)
+        zone.m = [m[row + col] for row in [source * dim for source in sources]
+                  for col in sources]
+        return zone
 
     def constrain(self, i: int, j: int, bound: int) -> "DBM":
         """Intersect with ``xi - xj ≺ c`` (encoded *bound*); re-close

@@ -17,6 +17,8 @@ worth of most-recently-used entries still hit.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,48 @@ class TestSharding:
         assert len(store) == 64
         for label in entries:
             assert store.get(label)["verdict"] == entries[label]["verdict"]
+
+
+class TestDirectories:
+    """Bucket and lock directories appear on demand."""
+
+    @staticmethod
+    def counted_mkdirs(monkeypatch):
+        calls = []
+        mkdir = Path.mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            calls.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        return calls
+
+    def test_warm_store_saves_without_mkdir(self, tmp_path, monkeypatch):
+        cache = VerificationCache(tmp_path / "local",
+                                  shared=tmp_path / "shared")
+        cache.store("first", "fp1", {"satisfied": True})
+        cache.save()
+        calls = self.counted_mkdirs(monkeypatch)
+        for index in range(8):
+            cache.store(f"next-{index}", f"fp{index}", {"satisfied": False})
+        cache.save()
+        assert calls == []
+        assert len(BucketStore(tmp_path / "local" / "cas")) == 9
+        assert len(BucketStore(tmp_path / "shared" / "cas")) == 9
+
+    def test_store_saves_after_its_root_was_removed(self, tmp_path):
+        root = tmp_path / "store"
+        store = BucketStore(root)
+        store.put_many({"first": {"fingerprint": "fp1", "verdict": {},
+                                  "stored_at": 0, "writer_id": "t"}})
+        shutil.rmtree(root)
+        flushed = store.put_many({"second": {
+            "fingerprint": "fp2", "verdict": {}, "stored_at": 0,
+            "writer_id": "t"}})
+        assert flushed == {"second"}
+        assert store.labels() == ["second"]
+        assert (root / "locks" / "buckets.lock").exists()
 
 
 class TestEvictionReachability:

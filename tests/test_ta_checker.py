@@ -1,6 +1,7 @@
 """Unit tests for automata, networks, queries, and the model checkers."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.ta import (
     DiscreteTimeChecker,
@@ -14,6 +15,7 @@ from repro.ta import (
 )
 from repro.prevention.tasks import _token_ring, _watchdog
 from repro.ta.query import parse_state_formula
+from tests.test_ta_properties import checker_cases
 
 
 # -- shared models -----------------------------------------------------------------
@@ -340,6 +342,78 @@ class TestActiveClocks:
             parse_query("E<> S0.idle and S0.c < 2")).satisfied
         assert checker.check(
             parse_query("E<> S0.idle and S0.c >= 2")).satisfied
+
+
+def explored_zone_dims(network, text):
+    """``(zone dim, 1 + live clock count)`` for every zone the fast
+    explorer yields for the query *text*.  A clock is live at a state
+    when it is active at its automaton's location or a clock atom of
+    the query reads it."""
+    query = parse_query(text)
+    formulas = [query.formula]
+    if query.conclusion is not None:
+        formulas.append(query.conclusion)
+    pinned = set()
+    for formula in formulas:
+        for atom in formula.atoms():
+            if atom.constraint is not None:
+                automaton = network.automata[
+                    network.automaton_index(atom.automaton)]
+                pinned.update(network.global_clock(automaton, clock)
+                              for clock in atom.constraint.clocks())
+    active = [automaton.active_clocks() for automaton in network.automata]
+    checker = ZoneGraphChecker(network)
+    dims = []
+    for state, _layout, zone, _path in checker._explore(
+            checker._graph(*formulas)):
+        live = set(pinned)
+        for index, automaton in enumerate(network.automata):
+            live.update(network.global_clock(automaton, clock)
+                        for clock in active[index][state.location_of(index)])
+        dims.append((zone.dim, 1 + len(live)))
+    return dims
+
+
+class TestZoneLayout:
+    """Fast-path zones span exactly their state's live clocks."""
+
+    def test_ring_zones_keep_one_clock(self):
+        network = _token_ring(18)
+        for text in ("E<> S17.busy", "A[] not (S0.busy and S1.busy)",
+                     "S1.busy --> S0.busy"):
+            dims = explored_zone_dims(network, text)
+            assert len(dims) >= 18, text
+            assert {dim for dim, _ in dims} == {2}, text
+            assert all(dim == live for dim, live in dims), text
+
+    def test_pinned_clock_is_kept_everywhere(self):
+        dims = explored_zone_dims(_token_ring(18),
+                                  "E<> S0.idle and S0.c < 2")
+        assert all(dim == live for dim, live in dims)
+        # S0.c is dead while S0 idles, so only the pin adds the third
+        # clock there.
+        assert {dim for dim, _ in dims} == {2, 3}
+
+    def test_empty_initial_zone_has_no_successors(self):
+        # The invariant excludes x = 0, so no valuation starts; the step
+        # to l1 drops x, and must not forget the conflict with it.
+        blocked = TimedAutomaton(
+            "T", ["x"],
+            [Location("l0", invariant=parse_guard("x < 0")),
+             Location("l1")],
+            [Edge("l0", "l1", action="go")])
+        network = Network([blocked])
+        for fast in (True, False):
+            assert not ZoneGraphChecker(network, fast=fast).check(
+                parse_query("E<> T.l1")).satisfied
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=checker_cases())
+    def test_generated_network_zones_keep_live_clocks(self, case):
+        network, texts = case
+        for text in texts:
+            for dim, live in explored_zone_dims(network, text):
+                assert dim == live, text
 
 
 class TestDeadlockAtom:

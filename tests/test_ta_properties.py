@@ -117,6 +117,62 @@ def test_free_drops_exactly_the_clocks_constraints(zone, clock):
     assert freed.includes(zone)
 
 
+#: Clocks of the zones :func:`projections` draws from.
+PROJECT_CLOCKS = 4
+
+
+@st.composite
+def projections(draw):
+    """A zone over PROJECT_CLOCKS clocks shaped by random delays,
+    resets, frees and constraints, plus a projection of it: the kept
+    clocks in any order, each kept as is or reset (its slot maps to
+    0).  Returns ``(zone, kept, reset)``."""
+    n = PROJECT_CLOCKS
+    clocks = st.integers(min_value=1, max_value=n)
+    zone = DBM.zero(n).up()
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(("constrain", "reset", "free")))
+        if kind == "reset":
+            zone.reset(draw(clocks)).up()
+        elif kind == "free":
+            zone.free(draw(clocks))
+        else:
+            i, j = draw(st.lists(st.integers(min_value=0, max_value=n),
+                                 min_size=2, max_size=2, unique=True))
+            value = draw(st.integers(min_value=-6, max_value=6))
+            probe = zone.copy().constrain(i, j,
+                                          encode(value, draw(st.booleans())))
+            if not probe.is_empty():
+                zone = probe
+    kept = draw(st.permutations(range(1, n + 1)))
+    kept = kept[:draw(st.integers(min_value=0, max_value=n))]
+    reset = set(draw(st.lists(st.sampled_from(kept), unique=True))
+                if kept else [])
+    return zone, kept, reset
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=projections())
+def test_project_equals_reset_free_delete_and_close(case):
+    zone, kept, reset = case
+    sources = [0] + [0 if clock in reset else clock for clock in kept]
+    projected = zone.project(sources)
+    assert projected.n == len(kept)
+    assert projected == projected.copy().canonicalize()
+    # The reference: reset the reset clocks, free the dropped ones,
+    # delete the dropped rows and columns (keeping the drawn order),
+    # then close with full Floyd-Warshall.
+    reference = zone.copy()
+    for clock in reset:
+        reference.reset(clock)
+    for clock in range(1, PROJECT_CLOCKS + 1):
+        if clock not in kept:
+            reference.free(clock)
+    order = [0] + list(kept)
+    rows = [[reference.bound(i, j) for j in order] for i in order]
+    assert projected == DBM(len(kept), rows).canonicalize()
+
+
 def _contains(zone, point):
     """Does the zone hold the valuation *point* (clock 0 first)?"""
     dim = zone.dim
