@@ -8,22 +8,30 @@ small — concurrent CI runs storing disjoint verdicts almost always
 touch different buckets and never serialize behind one global file.
 
 Writer protocol (the workflow-orchestrator persistent-state pattern:
-lock, read, merge, atomic replace):
+lock, read, merge, append or compact):
 
 1. take the bucket's advisory lock: a write lock on byte
    ``int(prefix, 16)`` of the store's one lock file
    (``locks/buckets.lock``), taken as an open-file-description
    byte-range lock (``F_OFD_SETLK``) with a bounded spin.  OFD locks
-   belong to the open file, not the process, so every acquisition
-   opens the file afresh and two threads exclude each other exactly
-   as two processes do.  Where ``F_OFD_SETLK`` is unavailable, an
-   ``O_EXCL`` marker file per bucket (``locks/<prefix>.excl``) stands
-   in;
+   belong to the open file, not the process, so every write pass
+   (one :meth:`BucketStore.put_many` or :meth:`BucketStore.compact`)
+   opens the file afresh, once, and two threads exclude each other
+   exactly as two processes do.  Where ``F_OFD_SETLK`` is
+   unavailable, an ``O_EXCL`` marker file per bucket
+   (``locks/<prefix>.excl``) stands in;
 2. re-read the bucket *under the lock* and merge the pending updates —
    conflicting labels resolve last-writer-wins by ``stored_at``
    logical stamp (fresh stores re-stamp above everything observed, so
    the writer holding the lock is by construction the latest);
-3. write a temp file and ``os.replace`` it over the bucket.
+3. append one record holding only this flush's changes,
+   ``{"entries": {label: entry | null}}`` and a newline (``null``
+   deletes the label), in a single ``os.write``.  The bucket is
+   instead written whole, as one record, through a temp file and
+   ``os.replace`` when it is new, when its last record is torn, or
+   when it already holds :data:`MAX_RECORDS` records, so a bucket
+   file never outgrows that bound.  (On ext4 on a 2-CPU VM an append
+   took about 4 µs, a rename replacing a file 85–130 µs.)
 
 The store once flocked one ``locks/<prefix>.lock`` file per bucket.
 Those files are ignored now, and a writer of that protocol and a
@@ -32,11 +40,17 @@ worst such a race can do is lose one update, which costs one
 recompute and never a wrong verdict: every entry is checked against
 its task's fingerprint before it is served.
 
-Readers never lock: the atomic rename means any read observes a
-complete document.  A torn temp file left by a killed writer is
-ignored by reads and swept by compaction; a corrupt bucket file is
-counted (``corrupt_loads``), warned about, and treated as empty — the
-entries it held are re-verifiable by construction, never load-bearing.
+Readers never lock.  They replay the file's complete lines in order
+(later records win) and drop one unterminated tail: an append cut
+short by a killed writer (or still in flight) reads as the records
+before it, and the next write to that bucket compacts it away.  A
+lookup of one label parses only the newest record naming it.  A file
+with no newline is parsed as one whole document, so buckets written
+before the record format still read.  A torn temp file left by a
+killed writer is ignored by reads and swept by compaction; a corrupt
+bucket file (or a corrupt complete record) is counted
+(``corrupt_loads``), warned about, and treated as empty — the entries
+it held are re-verifiable by construction, never load-bearing.
 
 Two chaos seams thread through (:mod:`repro.chaos`):
 ``cache.lock_timeout`` makes a lock acquisition time out (the write
@@ -52,7 +66,7 @@ import struct
 import threading
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
@@ -66,6 +80,21 @@ except ImportError:  # pragma: no cover - non-POSIX fallback path
 #: Open-file-description lock command (Linux); None selects the
 #: ``O_EXCL`` marker-file fallback.
 _OFD_SETLK = getattr(fcntl, "F_OFD_SETLK", None)
+
+
+#: The most records a bucket file holds.  A flush to a full bucket
+#: writes it whole again as one record, so the replay each write makes
+#: under its lock stays a few small records, and a bucket's size stays
+#: bounded however often its labels change: one rename per
+#: ``MAX_RECORDS`` flushes, appends in between.
+MAX_RECORDS = 8
+
+
+def _encode_record(entries: Mapping[str, Optional[Dict[str, Any]]]
+                   ) -> bytes:
+    """One bucket record: a JSON object on a line of its own."""
+    return json.dumps({"entries": entries}, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 def _byte_lock(lock_type: int, byte: int) -> bytes:
@@ -118,6 +147,7 @@ class BucketStore:
                  tier: str = "local"):
         self.root = Path(root)
         self.buckets_dir = self.root / "buckets"
+        self._buckets = str(self.buckets_dir)
         self.locks_dir = self.root / "locks"
         self.prefix_len = prefix_len
         self.max_entries = max_entries
@@ -131,53 +161,131 @@ class BucketStore:
 
     # -- bucket IO ----------------------------------------------------------
 
-    def _bucket_path(self, prefix: str) -> Path:
-        return self.buckets_dir / f"{prefix}.json"
+    def _bucket_path(self, prefix: str) -> str:
+        return f"{self._buckets}/{prefix}.json"
 
-    def _read_bucket(self, prefix: str) -> Dict[str, Dict[str, Any]]:
-        """The bucket's entries; a corrupt document counts and reads
-        empty (its verdicts are recomputable, never load-bearing)."""
+    def _load(self, prefix: str, label: Optional[str] = None
+              ) -> Tuple[Dict[str, Dict[str, Any]], Optional[int]]:
+        """Replay the bucket: its entries, and the number of records a
+        flush may append to (None when the next write must be whole:
+        the bucket is missing, torn, corrupt, or a single document).
+
+        Given a *label*, only what decides that label is parsed: the
+        newest complete record naming it, so a lookup costs one small
+        parse however many records the bucket holds.  A corrupt record
+        such a read skips is counted by the next full replay (every
+        write replays the whole bucket under its lock).
+
+        A corrupt bucket counts and reads empty (its verdicts are
+        recomputable, never load-bearing).
+        """
         path = self._bucket_path(prefix)
         try:
-            raw = json.loads(path.read_text())
+            with open(path, "rb") as handle:
+                raw = handle.read()
+            end = raw.rfind(b"\n") + 1
+            if not end:
+                records = [json.loads(raw)]
+            elif label is None:
+                # Records hold no raw newline (JSON escapes it), so the
+                # complete lines parse as one array; a torn tail past
+                # the last newline is dropped.
+                records = json.loads(
+                    b"[" + raw[:end - 1].replace(b"\n", b",") + b"]")
+            else:
+                key = json.dumps(label).encode("utf-8")
+                records = []
+                for line in reversed(raw[:end - 1].split(b"\n")):
+                    if key in line:
+                        record = json.loads(line)
+                        if label in record["entries"]:
+                            records.append(record)
+                            break
+            entries: Dict[str, Dict[str, Any]] = {}
+            for record in records:
+                for name, entry in record["entries"].items():
+                    if isinstance(entry, dict) \
+                            and isinstance(entry.get("fingerprint"), str):
+                        entries[name] = entry
+                    else:
+                        entries.pop(name, None)
         except FileNotFoundError:
-            return {}
-        except (OSError, json.JSONDecodeError) as exc:
+            return {}, None
+        except (OSError, ValueError, KeyError, TypeError,
+                AttributeError) as exc:
             self.stats.corrupt_loads += 1
             warnings.warn(
                 f"verification cache bucket {path} is corrupt and was "
-                f"ignored ({exc}); its entries will be re-verified",
-                RuntimeWarning, stacklevel=2)
-            return {}
-        entries = raw.get("entries", {}) if isinstance(raw, dict) else {}
-        kept = {}
-        for label, entry in entries.items():
-            if isinstance(entry, dict) \
-                    and isinstance(entry.get("fingerprint"), str):
-                kept[label] = entry
-        return kept
+                f"ignored ({exc!r}); its entries will be re-verified",
+                RuntimeWarning, stacklevel=3)
+            return {}, None
+        if label is not None or end != len(raw) or not end:
+            return entries, None
+        return entries, len(records)
 
     def _write_bucket(self, prefix: str,
-                      entries: Dict[str, Dict[str, Any]]) -> None:
+                      entries: Dict[str, Dict[str, Any]],
+                      changes: Mapping[str, Optional[Dict[str, Any]]],
+                      records: Optional[int]) -> None:
+        """Persist a merge: *entries* is the bucket's new state,
+        *changes* the labels it moved (None: deleted), *records* what
+        :meth:`_load` reported under the same lock."""
         path = self._bucket_path(prefix)
         if not entries:
             # An emptied bucket is removed, not left as husk files.
             try:
-                path.unlink()
+                os.unlink(path)
             except FileNotFoundError:
                 pass
             return
-        payload = json.dumps({"entries": entries}, sort_keys=True,
-                             separators=(",", ":"))
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        _in_dir(self.buckets_dir, lambda: tmp.write_text(payload))
+        if records is not None and records < MAX_RECORDS:
+            record = _encode_record(changes)
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                written = os.write(fd, record)
+            finally:
+                os.close(fd)
+            if written != len(record):
+                # The torn tail reads as the records before it; the
+                # next write to this bucket compacts it away.
+                raise OSError(f"short append to bucket {path}")
+            return
+        tmp = f"{path}.tmp.{os.getpid()}"
+        payload = _encode_record(entries)
+
+        def write_tmp():
+            with open(tmp, "wb") as handle:
+                handle.write(payload)
+
+        _in_dir(self.buckets_dir, write_tmp)
         os.replace(tmp, path)
 
     # -- advisory locking ---------------------------------------------------
 
     @contextmanager
-    def _locked(self, prefix: str):
-        """Hold bucket *prefix*'s advisory lock.
+    def _lock_file(self):
+        """One open description of ``locks/buckets.lock``, shared by a
+        write pass's bucket locks (None on the marker-file fallback).
+
+        OFD locks are owned by the description, so a pass that opens
+        the file afresh excludes every other pass: other processes,
+        this process's other threads, and other stores on the root.
+        """
+        if _OFD_SETLK is None:  # pragma: no cover - no F_OFD_SETLK
+            yield None
+            return
+        fd = _in_dir(self.locks_dir, lambda: os.open(
+            f"{self.locks_dir}/buckets.lock",
+            os.O_RDWR | os.O_CREAT, 0o644))
+        try:
+            yield fd
+        finally:
+            os.close(fd)
+
+    @contextmanager
+    def _locked(self, prefix: str, lock_fd: Optional[int] = None):
+        """Hold bucket *prefix*'s advisory lock, taken on *lock_fd* (a
+        :meth:`_lock_file` description) or on a description of its own.
 
         The chaos seam draws per acquisition attempt (stable key
         ``tier:prefix:attempt``), so an injected timeout on one flush
@@ -195,17 +303,13 @@ class BucketStore:
                 f"injected lock timeout on bucket {prefix!r}")
         deadline = time.monotonic() + self.lock_timeout_s
         if _OFD_SETLK is not None:
-            # A fresh open file description per acquisition: the lock
-            # is owned by it, so it also excludes this process's other
-            # threads (and other stores on the same root).
-            fd = _in_dir(self.locks_dir, lambda: os.open(
-                self.locks_dir / "buckets.lock",
-                os.O_RDWR | os.O_CREAT, 0o644))
-            byte = int(prefix, 16)
-            try:
+            with ExitStack() as stack:
+                if lock_fd is None:
+                    lock_fd = stack.enter_context(self._lock_file())
+                byte = int(prefix, 16)
                 while True:
                     try:
-                        fcntl.fcntl(fd, _OFD_SETLK,
+                        fcntl.fcntl(lock_fd, _OFD_SETLK,
                                     _byte_lock(fcntl.F_WRLCK, byte))
                         break
                     except OSError:
@@ -220,10 +324,8 @@ class BucketStore:
                 finally:
                     # Released explicitly: a child forked meanwhile
                     # shares the description and would keep it held.
-                    fcntl.fcntl(fd, _OFD_SETLK,
+                    fcntl.fcntl(lock_fd, _OFD_SETLK,
                                 _byte_lock(fcntl.F_UNLCK, byte))
-            finally:
-                os.close(fd)
         else:  # pragma: no cover - exercised only without F_OFD_SETLK
             marker = self.locks_dir / f"{prefix}.excl"
             while True:
@@ -251,8 +353,8 @@ class BucketStore:
 
     def get(self, label: str) -> Optional[Dict[str, Any]]:
         """The stored entry for *label*, or None (lock-free read)."""
-        return self._read_bucket(
-            bucket_prefix(label, self.prefix_len)).get(label)
+        return self._load(bucket_prefix(label, self.prefix_len),
+                          label)[0].get(label)
 
     def entries(self) -> Dict[str, Dict[str, Any]]:
         """Every reachable entry across all buckets."""
@@ -260,7 +362,7 @@ class BucketStore:
         if not self.buckets_dir.is_dir():
             return merged
         for path in sorted(self.buckets_dir.glob("*.json")):
-            merged.update(self._read_bucket(path.stem))
+            merged.update(self._load(path.stem)[0])
         return merged
 
     def labels(self) -> list:
@@ -272,10 +374,11 @@ class BucketStore:
     # -- writes -------------------------------------------------------------
 
     def put_many(self, entries: Mapping[str, Dict[str, Any]],
-                 fresh: bool = True,
-                 deletions: Optional[Mapping[str, int]] = None
+                 deletions: Optional[Mapping[str, int]] = None,
+                 promotions: Optional[Mapping[str, Dict[str, Any]]] = None
                  ) -> "set[str]":
-        """Merge *entries* (and tombstoned *deletions*) into the store.
+        """Merge fresh *entries*, tombstoned *deletions* and
+        *promotions* into the store, in one pass over their buckets.
 
         Fresh stores re-stamp above every stamp observed in the bucket
         — the writer holding the lock is the latest writer, so
@@ -283,12 +386,13 @@ class BucketStore:
         is written into the caller's entry dict *in place*: the owning
         tier store shares those dicts across its memory tier and
         pending journal, so every view agrees on the entry's identity
-        after a flush.  Promotions (``fresh=False``, e.g. remote hits
-        written back to the local tier) keep their original stamp and
-        provenance and never overwrite a newer entry.  A deletion only
-        lands while the bucket still holds the stamp the deleter
-        observed: a concurrently re-stored entry survives its stale
-        tombstone.
+        after a flush.  Promotions (e.g. remote hits written back to
+        the local tier) keep their original stamp and provenance and
+        never overwrite a newer entry.  A deletion only lands while the
+        bucket still holds the stamp the deleter observed: a
+        concurrently re-stored entry survives its stale tombstone.
+        Within a bucket, deletions apply first, then fresh stores, then
+        promotions.
 
         A bucket whose advisory lock times out is skipped — its labels
         simply do not appear in the returned set, so callers keep them
@@ -296,53 +400,56 @@ class BucketStore:
         chaos-injected) bucket never blocks progress on the others.
         Returns the labels whose buckets were processed.
         """
-        deletions = dict(deletions or {})
-        by_prefix: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        for label, entry in entries.items():
-            by_prefix.setdefault(
-                bucket_prefix(label, self.prefix_len), {})[label] = entry
-        for label in deletions:
-            by_prefix.setdefault(
-                bucket_prefix(label, self.prefix_len),
-                {})
+        by_prefix: Dict[str, Tuple[dict, dict, dict]] = {}
+        for slot, updates in enumerate((deletions or {}, entries,
+                                        promotions or {})):
+            for label, update in updates.items():
+                prefix = bucket_prefix(label, self.prefix_len)
+                if prefix not in by_prefix:
+                    by_prefix[prefix] = ({}, {}, {})
+                by_prefix[prefix][slot][label] = update
         flushed: set = set()
-        for prefix in sorted(by_prefix):
-            updates = by_prefix[prefix]
-            try:
-                with self._locked(prefix):
-                    bucket = self._read_bucket(prefix)
-                    top = max(
-                        (e.get("stored_at", 0) for e in bucket.values()),
-                        default=0)
-                    changed = False
-                    for label, observed in deletions.items():
-                        if bucket_prefix(label, self.prefix_len) != prefix:
-                            continue
-                        current = bucket.get(label)
-                        if current is not None \
-                                and current.get("stored_at", 0) <= observed:
-                            del bucket[label]
-                            changed = True
-                        flushed.add(label)
-                    for label, entry in updates.items():
-                        current = bucket.get(label)
-                        if fresh:
-                            top = max(top + 1, entry.get("stored_at", 0))
-                            entry["stored_at"] = top
-                        elif current is not None and \
-                                current.get("stored_at", 0) >= \
-                                entry.get("stored_at", 0):
-                            flushed.add(label)
-                            continue
-                        if current != entry:
-                            bucket[label] = dict(entry)
-                            changed = True
-                        flushed.add(label)
-                    if changed:
-                        self._write_bucket(prefix, bucket)
-            except CacheLockTimeout:
-                continue
+        if not by_prefix:
+            return flushed
+        with self._lock_file() as lock_fd:
+            for prefix in sorted(by_prefix):
+                try:
+                    with self._locked(prefix, lock_fd):
+                        self._merge(prefix, *by_prefix[prefix])
+                except CacheLockTimeout:
+                    continue
+                for updates in by_prefix[prefix]:
+                    flushed.update(updates)
         return flushed
+
+    def _merge(self, prefix: str, deletions: Dict[str, int],
+               fresh: Dict[str, Dict[str, Any]],
+               promotions: Dict[str, Dict[str, Any]]) -> None:
+        """One bucket's share of :meth:`put_many`, under its lock."""
+        bucket, records = self._load(prefix)
+        top = max((e.get("stored_at", 0) for e in bucket.values()),
+                  default=0)
+        changes: Dict[str, Optional[Dict[str, Any]]] = {}
+        for label, observed in deletions.items():
+            current = bucket.get(label)
+            if current is not None \
+                    and current.get("stored_at", 0) <= observed:
+                del bucket[label]
+                changes[label] = None
+        for label, entry in fresh.items():
+            top = max(top + 1, entry.get("stored_at", 0))
+            entry["stored_at"] = top
+            if bucket.get(label) != entry:
+                bucket[label] = changes[label] = dict(entry)
+        for label, entry in promotions.items():
+            current = bucket.get(label)
+            if current is not None and current.get("stored_at", 0) >= \
+                    entry.get("stored_at", 0):
+                continue
+            if current != entry:
+                bucket[label] = changes[label] = dict(entry)
+        if changes:
+            self._write_bucket(prefix, bucket, changes, records)
 
     def delete(self, label: str, observed_stamp: int) -> None:
         self.put_many({}, deletions={label: observed_stamp})
@@ -388,18 +495,20 @@ class BucketStore:
             by_prefix.setdefault(
                 bucket_prefix(label, self.prefix_len), []).append(
                     (label, entry.get("stored_at", 0)))
-        for prefix in sorted(by_prefix):
-            with self._locked(prefix):
-                bucket = self._read_bucket(prefix)
-                changed = False
-                for label, stamp in by_prefix[prefix]:
-                    current = bucket.get(label)
-                    if current is not None \
-                            and current.get("stored_at", 0) <= stamp:
-                        del bucket[label]
-                        changed = True
-                        evicted += 1
-                if changed:
-                    self._write_bucket(prefix, bucket)
+        with self._lock_file() as lock_fd:
+            for prefix in sorted(by_prefix):
+                with self._locked(prefix, lock_fd):
+                    bucket, records = self._load(prefix)
+                    changes = {}
+                    for label, stamp in by_prefix[prefix]:
+                        current = bucket.get(label)
+                        if current is not None \
+                                and current.get("stored_at", 0) <= stamp:
+                            del bucket[label]
+                            changes[label] = None
+                    if changes:
+                        self._write_bucket(prefix, bucket, changes,
+                                           records)
+                        evicted += len(changes)
         self.stats.evictions += evicted
         return evicted

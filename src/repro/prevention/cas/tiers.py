@@ -20,10 +20,10 @@ coherent — the equivalence property suite pins exactly that.
 
 Writes are write-back: ``store`` lands in memory immediately and is
 journaled as pending; ``save`` publishes pending entries (and
-tombstones) to the local tier, then to the remote tier, each under its
-bucket locks.  A lock timeout (real or chaos-injected) leaves the
-remainder pending for the next ``save`` — nothing is lost, nothing
-torn.  Every hit records provenance: which tier answered, which
+tombstones) to the local tier, then to the remote tier, each in one
+pass under its bucket locks.  A lock timeout (real or chaos-injected)
+leaves the remainder pending for the next ``save`` — nothing is lost,
+nothing torn.  Every hit records provenance: which tier answered, which
 writer stored the verdict, at what logical stamp.
 """
 
@@ -221,8 +221,10 @@ class TieredVerdictStore:
         self.stats.stores += 1
 
     def save(self) -> bool:
-        """Flush pending writes/tombstones tier by tier; True if any
-        label reached a tier.  Partial progress is durable: every
+        """Flush pending writes/tombstones tier by tier, one
+        :meth:`~BucketStore.put_many` pass per tier for its fresh
+        stores, promotions and tombstones together; True if any label
+        reached a tier.  Partial progress is durable: every
         bucket is attempted, only the labels whose bucket flushed
         leave the dirty set, and the remainder stays pending for the
         next save — one timed-out lock never holds the rest hostage."""
@@ -243,12 +245,8 @@ class TieredVerdictStore:
                         promotions[label] = entry
                 elif label in self._tombstones:
                     deletions[label] = self._tombstones[label]
-            done: set = set()
-            if fresh_updates or deletions:
-                done |= tier.put_many(fresh_updates, fresh=True,
-                                      deletions=deletions)
-            if promotions:
-                done |= tier.put_many(promotions, fresh=False)
+            done = tier.put_many(fresh_updates, deletions=deletions,
+                                 promotions=promotions)
             for label in done & set(fresh_updates):
                 # put_many assigned the final last-writer-wins stamp
                 # in place; keep the clock ahead of it.

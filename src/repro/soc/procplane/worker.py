@@ -103,8 +103,9 @@ class HostBank:
     sequences for identical ingress.
     """
 
-    __slots__ = ("host_id", "monitors", "order", "_watch", "_always",
-                 "_route_memo", "seen", "events_seen", "stepped")
+    __slots__ = ("host_id", "monitors", "order", "_watch", "_filed",
+                 "_always", "_route_memo", "seen", "events_seen",
+                 "stepped")
 
     def __init__(self, host_id: int,
                  monitors: List[Tuple[int, str, CompiledMonitor]]):
@@ -117,6 +118,8 @@ class HostBank:
         self.order: Dict[int, str] = {mon_id: req_id
                                       for mon_id, req_id, _ in monitors}
         self._watch: Dict[str, Set[int]] = {}
+        #: monitor_id -> the atoms it is filed under in ``_watch``
+        self._filed: Dict[int, FrozenSet[str]] = {}
         self._always: Set[int] = set()
         #: bits -> tuple of monitor ids to step, invalidated whenever
         #: any obligation reclassifies.  Benign traffic resolves its
@@ -128,14 +131,19 @@ class HostBank:
         for mon_id in self.monitors:
             self._classify(mon_id)
 
+    def _unfile(self, mon_id: int) -> None:
+        self._always.discard(mon_id)
+        for atom in self._filed.pop(mon_id, ()):
+            self._watch[atom].discard(mon_id)
+
     def _classify(self, mon_id: int) -> None:
         obligation = self.monitors[mon_id][1].obligation
-        self._always.discard(mon_id)
-        for watchers in self._watch.values():
-            watchers.discard(mon_id)
+        self._unfile(mon_id)
         if empty_step_stable(obligation):
-            for atom in obligation.atoms():
+            atoms = obligation.atoms()
+            for atom in atoms:
                 self._watch.setdefault(atom, set()).add(mon_id)
+            self._filed[mon_id] = atoms
         else:
             self._always.add(mon_id)
         self._route_memo.clear()
@@ -152,9 +160,7 @@ class HostBank:
             if self.monitors.pop(mon_id, None) is None:
                 continue
             self.order.pop(mon_id, None)
-            self._always.discard(mon_id)
-            for watchers in self._watch.values():
-                watchers.discard(mon_id)
+            self._unfile(mon_id)
         self._route_memo.clear()
         for mon_id, req_id, monitor in add:
             self.monitors[mon_id] = (req_id, monitor)

@@ -28,7 +28,7 @@ touch them until that lock is released.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.environment.events import Event
 from repro.environment.host import SimulatedHost
@@ -113,6 +113,8 @@ class MonitorSession:
         self._seen: Set[int] = set()
         #: atom name -> req_ids whose obligation mentions it (skippable set)
         self._watch: Dict[str, Set[str]] = {}
+        #: req_id -> the atoms it is filed under in ``_watch``
+        self._filed: Dict[str, FrozenSet[str]] = {}
         #: req_ids that must see every event (empty-step-sensitive)
         self._always: Set[str] = set()
         #: Re-arm tokens already applied (idempotent patch redelivery).
@@ -122,15 +124,21 @@ class MonitorSession:
 
     # -- routing index -----------------------------------------------------------
 
+    def _unfile(self, req_id: str) -> None:
+        """Drop one monitor from the routing index."""
+        self._always.discard(req_id)
+        for atom in self._filed.pop(req_id, ()):
+            self._watch[atom].discard(req_id)
+
     def _classify(self, req_id: str) -> None:
         """(Re)index one monitor by its *current* obligation."""
         obligation = self.monitors[req_id].obligation
-        self._always.discard(req_id)
-        for watchers in self._watch.values():
-            watchers.discard(req_id)
+        self._unfile(req_id)
         if empty_step_stable(obligation):
-            for atom in obligation.atoms():
+            atoms = obligation.atoms()
+            for atom in atoms:
                 self._watch.setdefault(atom, set()).add(req_id)
+            self._filed[req_id] = atoms
         else:
             self._always.add(req_id)
 
@@ -151,9 +159,7 @@ class MonitorSession:
             return False
         for req_id in patch.remove:
             if self.monitors.pop(req_id, None) is not None:
-                self._always.discard(req_id)
-                for watchers in self._watch.values():
-                    watchers.discard(req_id)
+                self._unfile(req_id)
             self.bindings.pop(req_id, None)
         for req_id, monitor, finding_ids in patch.add:
             self.monitors[req_id] = monitor

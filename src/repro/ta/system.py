@@ -8,7 +8,7 @@ pairs with exactly one receiving edge (``chan?``) in another automaton
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ta.automaton import ClockConstraint, Edge, TimedAutomaton
 
@@ -43,6 +43,34 @@ class ComposedStep:
         return " / ".join(parts)
 
 
+@dataclass(frozen=True)
+class _LocationEdges:
+    """One location's outgoing edges, split as the composition uses
+    them (each in the automaton's edge order)."""
+
+    internal: Tuple[Edge, ...]
+    emits: Tuple[Edge, ...]
+    #: channel -> the location's receiving edges on it
+    receives: Dict[str, Tuple[Edge, ...]]
+
+
+def _edge_table(automaton: TimedAutomaton) -> Dict[str, _LocationEdges]:
+    """Every location of *automaton* mapped to its outgoing edges."""
+    table = {}
+    for location in automaton.locations:
+        outgoing = automaton.outgoing(location)
+        receives: Dict[str, List[Edge]] = {}
+        for edge in outgoing:
+            if edge.is_receive:
+                receives.setdefault(edge.channel, []).append(edge)
+        table[location] = _LocationEdges(
+            internal=tuple(e for e in outgoing if e.sync is None),
+            emits=tuple(e for e in outgoing if e.is_emit),
+            receives={channel: tuple(edges)
+                      for channel, edges in receives.items()})
+    return table
+
+
 class Network:
     """Parallel composition of timed automata.
 
@@ -61,6 +89,9 @@ class Network:
             for clock in automaton.clocks:
                 self.clock_index[f"{automaton.name}.{clock}"] = (
                     len(self.clock_index) + 1)
+        #: Per automaton, built on its first step: location -> edges.
+        self._edge_tables: List[Optional[Dict[str, _LocationEdges]]] = [
+            None] * len(self.automata)
 
     @property
     def clock_count(self) -> int:
@@ -106,37 +137,47 @@ class Network:
             for index, automaton in enumerate(self.automata)
         )
 
+    def _edges_at(self, index: int, location: str) -> _LocationEdges:
+        table = self._edge_tables[index]
+        if table is None:
+            table = self._edge_tables[index] = _edge_table(
+                self.automata[index])
+        return table[location]
+
     def discrete_steps(self, state: NetworkState) -> Iterator[ComposedStep]:
-        """Enumerate internal steps and channel handshakes from *state*."""
-        # Internal edges.
-        for index, automaton in enumerate(self.automata):
-            for edge in automaton.outgoing(state.location_of(index)):
-                if edge.sync is None:
-                    yield ComposedStep(
-                        edges=((index, edge),),
-                        target=self._advance(state, [(index, edge)]),
-                    )
-        # Handshakes: every emit pairs with every matching receive in a
-        # *different* automaton.
-        emits: List[Tuple[int, Edge]] = []
-        receives: List[Tuple[int, Edge]] = []
-        for index, automaton in enumerate(self.automata):
-            for edge in automaton.outgoing(state.location_of(index)):
-                if edge.is_emit:
-                    emits.append((index, edge))
-                elif edge.is_receive:
-                    receives.append((index, edge))
-        for emit_index, emit_edge in emits:
-            for recv_index, recv_edge in receives:
-                if emit_index == recv_index:
-                    continue
-                if emit_edge.channel != recv_edge.channel:
-                    continue
-                pairs = [(emit_index, emit_edge), (recv_index, recv_edge)]
+        """Enumerate internal steps and channel handshakes from *state*.
+
+        Internal edges come first (by automaton, then edge order); then
+        every emit pairs with every receive on its channel in a
+        *different* automaton (emits and receives each by automaton,
+        then edge order).
+        """
+        at = [self._edges_at(index, location)
+              for index, location in enumerate(state.locations)]
+        for index, edges in enumerate(at):
+            for edge in edges.internal:
                 yield ComposedStep(
-                    edges=tuple(pairs),
-                    target=self._advance(state, pairs),
+                    edges=((index, edge),),
+                    target=self._advance(state, [(index, edge)]),
                 )
+        if not any(edges.emits for edges in at):
+            return
+        receives: Dict[str, List[Tuple[int, Edge]]] = {}
+        for index, edges in enumerate(at):
+            for channel, on_channel in edges.receives.items():
+                receives.setdefault(channel, []).extend(
+                    (index, edge) for edge in on_channel)
+        for emit_index, edges in enumerate(at):
+            for emit_edge in edges.emits:
+                for recv_index, recv_edge in receives.get(
+                        emit_edge.channel, ()):
+                    if recv_index == emit_index:
+                        continue
+                    pairs = [(emit_index, emit_edge), (recv_index, recv_edge)]
+                    yield ComposedStep(
+                        edges=tuple(pairs),
+                        target=self._advance(state, pairs),
+                    )
 
     def _advance(self, state: NetworkState,
                  moves: Sequence[Tuple[int, Edge]]) -> NetworkState:

@@ -24,7 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.prevention import VerificationCache, bucket_prefix
-from repro.prevention.cas.store import BucketStore
+from repro.prevention.cas.store import MAX_RECORDS, BucketStore
+from repro.prevention.cas.tiers import TieredVerdictStore
 
 LABELS = ["alpha", "beta", "gamma", "delta", "epsilon"]
 FINGERPRINTS = ["fp-one", "fp-two", "fp-three"]
@@ -166,6 +167,75 @@ class TestSharding:
         assert len(store) == 64
         for label in entries:
             assert store.get(label)["verdict"] == entries[label]["verdict"]
+
+
+def _same_bucket_labels(count, like="old"):
+    """*count* labels sharing one bucket with *like* (included)."""
+    labels = [like] + [f"{like}-{index}" for index in range(100000)
+                       if bucket_prefix(f"{like}-{index}")
+                       == bucket_prefix(like)]
+    return labels[:count]
+
+
+def _entry(fp, stamp=0, **verdict):
+    return {"fingerprint": fp, "verdict": verdict, "stored_at": stamp,
+            "writer_id": "t"}
+
+
+class TestRecordFormat:
+    """Buckets are bounded logs of ``{"entries": ...}`` records."""
+
+    def test_flush_to_an_existing_bucket_appends_its_changes(self,
+                                                            tmp_path):
+        store = BucketStore(tmp_path)
+        first, second = _same_bucket_labels(2)
+        path = tmp_path / "buckets" / f"{bucket_prefix(first)}.json"
+        store.put_many({first: _entry("fp1", n=1),
+                        second: _entry("fp1", n=1)})
+        store.put_many({first: _entry("fp2", n=2)})
+        store.delete(second, observed_stamp=10 ** 9)
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n")
+        records = [json.loads(line) for line in raw.splitlines()]
+        assert [sorted(record["entries"]) for record in records] == [
+            sorted([first, second]), [first], [second]]
+        assert records[2] == {"entries": {second: None}}
+        assert store.get(first)["verdict"] == {"n": 2}
+        assert store.get(second) is None
+        assert store.labels() == [first]
+
+    def test_single_document_bucket_still_reads(self, tmp_path):
+        """A bucket written before the record format: one document, no
+        trailing newline.  It reads, and the next flush rewrites it as
+        a one-record log."""
+        store = BucketStore(tmp_path)
+        path = tmp_path / "buckets" / f"{bucket_prefix('old')}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(
+            {"entries": {"old": _entry("fp-old", 7, ok=True)}},
+            sort_keys=True, separators=(",", ":")))
+        assert store.get("old")["verdict"] == {"ok": True}
+        assert store.labels() == ["old"]
+        assert store.stats.corrupt_loads == 0
+        other = _same_bucket_labels(2)[1]
+        store.put_many({other: _entry("fp-new")})
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 1
+        assert set(json.loads(raw)["entries"]) == {"old", other}
+        assert store.get("old")["stored_at"] == 7
+        assert store.get(other)["stored_at"] == 8
+
+    def test_thousand_saves_of_one_label_stay_within_the_bound(
+            self, tmp_path):
+        cache = TieredVerdictStore(local=BucketStore(tmp_path))
+        path = tmp_path / "buckets" / f"{bucket_prefix('hot')}.json"
+        longest = 0
+        for index in range(1000):
+            cache.store("hot", f"fp{index}", {"i": index})
+            assert cache.save()
+            longest = max(longest, path.read_bytes().count(b"\n"))
+        assert longest == MAX_RECORDS
+        assert BucketStore(tmp_path).get("hot")["verdict"] == {"i": 999}
 
 
 class TestDirectories:
@@ -342,13 +412,13 @@ class TestGateReads:
 
         reads = []
         saving = [False]
-        read_bucket = BucketStore._read_bucket
+        load = BucketStore._load
         save = TieredVerdictStore.save
 
-        def counting_read(store, prefix):
+        def counting_load(store, prefix, label=None):
             if not saving[0]:
                 reads.append((store.tier, prefix))
-            return read_bucket(store, prefix)
+            return load(store, prefix, label)
 
         def flagged_save(store):
             saving[0] = True
@@ -357,7 +427,7 @@ class TestGateReads:
             finally:
                 saving[0] = False
 
-        monkeypatch.setattr(BucketStore, "_read_bucket", counting_read)
+        monkeypatch.setattr(BucketStore, "_load", counting_load)
         monkeypatch.setattr(TieredVerdictStore, "save", flagged_save)
         cache = VerificationCache(tmp_path / "warm", shared=shared)
         result = VerificationGate(cache=cache).evaluate(

@@ -12,13 +12,19 @@ Three failure families, each with a recovery obligation:
   temp files are swept as debris, a corrupt bucket is counted
   (``corrupt_loads``) and re-verified rather than trusted, and every
   entry that *does* parse is byte-identical to what was stored.
+* A writer killed mid-append, and readers racing live appends.  A
+  torn last record is an unfinished write, not corruption: it reads
+  as the records before it, and the next write compacts it away.
 """
 
 import json
 import multiprocessing
 import os
 import signal
+import sys
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -173,3 +179,90 @@ class TestCrashRecovery:
         reopened.save()
         healed = VerificationCache(tmp_path / "c")
         assert healed.lookup("lab", "fp") == {"satisfied": True}
+
+
+def _same_bucket(label, count):
+    """*count* further labels that shard into *label*'s bucket."""
+    return [f"{label}-{index}" for index in range(100000)
+            if bucket_prefix(f"{label}-{index}")
+            == bucket_prefix(label)][:count]
+
+
+def _entry(fp, **verdict):
+    return {"fingerprint": fp, "verdict": verdict, "stored_at": 0,
+            "writer_id": "t"}
+
+
+class TestTornAppend:
+    def test_killed_appenders_partial_line_reads_as_the_records_before(
+            self, tmp_path):
+        store = BucketStore(tmp_path)
+        other = _same_bucket("lab", 1)[0]
+        store.put_many({"lab": _entry("fp1", n=1), other: _entry("fp1")})
+        store.put_many({"lab": _entry("fp2", n=2)})
+        path = store.buckets_dir / f"{bucket_prefix('lab')}.json"
+        # A writer died inside its append: half a record, no newline.
+        record = json.dumps({"entries": {"lab": _entry("fp3", n=3)}})
+        with open(path, "ab") as handle:
+            handle.write(record[:len(record) // 2].encode())
+        reader = BucketStore(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reader.get("lab")["verdict"] == {"n": 2}
+            assert set(reader.entries()) == {"lab", other}
+        assert reader.stats.corrupt_loads == 0
+        # The next flush to that bucket compacts the torn tail away.
+        reader.put_many({other: _entry("fp4", n=4)})
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 1
+        assert {label: entry["verdict"] for label, entry
+                in json.loads(raw)["entries"].items()} == {
+            "lab": {"n": 2}, other: {"n": 4}}
+        assert reader.stats.corrupt_loads == 0
+
+    def test_reader_never_sees_a_missing_or_partial_entry(self, tmp_path):
+        """Lock-free readers loop ``get`` on one label while a writer
+        appends to (and now and then compacts) the same bucket."""
+        writer = BucketStore(tmp_path)
+        neighbours = _same_bucket("watched", 3)
+        writer.put_many({"watched": _entry("fp0", n=0)})
+        done = threading.Event()
+        seen, faults = [], []
+
+        def read():
+            reader = BucketStore(tmp_path)
+            last = 0
+            while not done.is_set():
+                entry = reader.get("watched")
+                if entry is None or entry["fingerprint"] != \
+                        f"fp{entry['verdict']['n']}" \
+                        or entry["verdict"]["n"] < last:
+                    faults.append(entry)
+                    return
+                last = entry["verdict"]["n"]
+                seen.append(last)
+            if reader.stats.corrupt_loads:
+                faults.append("corrupt")
+
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for index in range(1, 400):
+                if index % 3:
+                    writer.put_many({neighbours[index % 3]:
+                                     _entry(f"fp{index}", n=index)})
+                else:
+                    writer.put_many({"watched":
+                                     _entry(f"fp{index}", n=index)})
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for thread in readers:
+                thread.join(30)
+        assert not any(thread.is_alive() for thread in readers)
+        assert faults == []
+        assert len(set(seen)) > 1
+        assert BucketStore(tmp_path).get("watched")["verdict"] == {"n": 399}

@@ -3,12 +3,13 @@
 A CI fleet is N unrelated processes pointed at one shared cache
 directory.  The bucket store's whole job is to make that safe with
 nothing but the filesystem: advisory per-bucket locks serialize
-writers, atomic renames keep readers torn-free, and lamport stamps
-make conflicting writes converge last-writer-wins.  This suite hammers
+writers, single-write appends and atomic renames keep readers
+torn-free, and lamport stamps make conflicting writes converge
+last-writer-wins.  This suite hammers
 one store root from many threads *and* many spawned processes at once,
 then audits the wreckage:
 
-* every bucket file parses (no torn JSON, ever);
+* every bucket file is a complete record log (no torn record, ever);
 * no lost stores — every writer's private label survives the melee;
 * conflicting writes to one label converge on the highest stamp.
 """
@@ -18,7 +19,8 @@ import multiprocessing
 import threading
 
 from repro.prevention import VerificationCache
-from repro.prevention.cas.store import BucketStore, bucket_prefix
+from repro.prevention.cas.store import (
+    MAX_RECORDS, BucketStore, bucket_prefix)
 from repro.prevention.cas.tiers import TieredVerdictStore
 
 WRITERS = 6
@@ -50,17 +52,28 @@ def _stress_worker(shared_root, writer_index, rounds):
 
 
 def _assert_buckets_parse(shared_root):
-    """Every bucket document on disk is complete, valid JSON."""
+    """Every bucket file on disk is a complete record log: it ends on a
+    record boundary, holds at most ``MAX_RECORDS`` records, and every
+    line is one whole ``{"entries": ...}`` object whose non-null
+    entries carry all four fields."""
     buckets_dir = shared_root / "cas" / "buckets"
     bucket_files = sorted(buckets_dir.glob("*.json"))
     assert bucket_files, "stress run produced no buckets"
     for bucket_file in bucket_files:
-        document = json.loads(bucket_file.read_text())
-        assert isinstance(document, dict)
-        assert set(document) == {"entries"}, bucket_file
-        for label, entry in document["entries"].items():
-            assert set(entry) >= {"fingerprint", "verdict", "stored_at",
-                                  "writer_id"}, (bucket_file, label)
+        raw = bucket_file.read_bytes()
+        assert raw.endswith(b"\n"), bucket_file
+        lines = raw[:-1].split(b"\n")
+        assert len(lines) <= MAX_RECORDS, bucket_file
+        for line in lines:
+            record = json.loads(line)
+            assert isinstance(record, dict)
+            assert set(record) == {"entries"}, bucket_file
+            for label, entry in record["entries"].items():
+                if entry is None:
+                    continue
+                assert set(entry) >= {"fingerprint", "verdict",
+                                      "stored_at", "writer_id"}, \
+                    (bucket_file, label)
     return bucket_files
 
 

@@ -1,10 +1,16 @@
 """Unit tests for per-host monitor sessions and their sound routing."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.protection import event_step
 from repro.environment.events import Event
 from repro.environment.host import SimulatedHost
+from repro.ltl.compile import CompiledMonitor, empty_step_stable
 from repro.ltl.monitor import LtlMonitor, Verdict
 from repro.ltl.parser import parse_ltl
-from repro.soc.sessions import MonitorSession
+from repro.soc.procplane.worker import HostBank
+from repro.soc.sessions import MonitorSession, SessionPatch
 
 
 def make_session(formulas, bindings=None):
@@ -156,3 +162,92 @@ class TestRoutingIndexAcrossPatches:
             session.observe(event(10 + time, "p"))
             self.assert_index_is_fresh(session)
         assert set(session.monitors) == {"R", "D", "N"}
+
+
+FORMULAS = ("G !a", "G (a -> X b)", "F c", "G (a -> F b)", "a U b",
+            "G !drift.package", "G (req -> X ack)", "G !drift")
+KINDS = ("a", "b", "c", "req", "ack", "drift.package", "drift.config",
+         "app.heartbeat")
+MONITOR_IDS = range(6)
+
+routing_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.sampled_from(KINDS)),
+        st.tuples(st.just("patch"),
+                  st.lists(st.tuples(st.sampled_from(MONITOR_IDS),
+                                     st.sampled_from(FORMULAS)),
+                           max_size=3),
+                  st.lists(st.sampled_from(MONITOR_IDS), max_size=3)),
+    ),
+    max_size=40,
+)
+
+
+def rebuilt_index(monitors):
+    """The routing index built from *monitors* (key -> monitor)."""
+    watch, always = {}, set()
+    for key, monitor in monitors.items():
+        if empty_step_stable(monitor.obligation):
+            for atom in monitor.obligation.atoms():
+                watch.setdefault(atom, set()).add(key)
+        else:
+            always.add(key)
+    return watch, always
+
+
+def step_bank(bank, step):
+    """The process worker's stepping loop over one bank, one event."""
+    for mon_id in bank.route(tuple(sorted(step)), step):
+        monitor = bank.monitors[mon_id][1]
+        before = monitor.obligation
+        if monitor.observe(step) is Verdict.FALSE:
+            monitor.reset()
+        if monitor.obligation is not before:
+            bank._classify(mon_id)
+
+
+class TestRoutingIndexUnderRandomTraffic:
+    """Reclassifying or removing a monitor touches only the atoms it
+    is filed under, and both backends' indexes still equal one rebuilt
+    from the monitors' current obligations after any traffic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=routing_ops)
+    def test_thread_and_process_indexes_stay_fresh(self, ops):
+        start = {mon_id: FORMULAS[mon_id] for mon_id in range(3)}
+        host = SimulatedHost("r-host", "ubuntu")
+        session = MonitorSession(
+            host, {f"M{mon_id}": CompiledMonitor(parse_ltl(text))
+                   for mon_id, text in start.items()}, {})
+        bank = HostBank(0, [(mon_id, f"M{mon_id}",
+                             CompiledMonitor(parse_ltl(text)))
+                            for mon_id, text in start.items()])
+        for index, op in enumerate(ops):
+            if op[0] == "observe":
+                observed = Event(time=index, kind=op[1])
+                session.observe(observed)
+                step_bank(bank, event_step(observed))
+            else:
+                _, adds, removes = op
+                adds = dict(adds)
+                session.apply_patch(SessionPatch(
+                    "r-host", index,
+                    add=tuple((f"M{mon_id}",
+                               CompiledMonitor(parse_ltl(text)), ())
+                              for mon_id, text in adds.items()),
+                    remove=tuple(f"M{mon_id}" for mon_id in removes)))
+                bank.patch([(mon_id, f"M{mon_id}",
+                             CompiledMonitor(parse_ltl(text)))
+                            for mon_id, text in adds.items()],
+                           list(removes))
+            for index_owner, monitors in (
+                    (session, session.monitors),
+                    (bank, {mon_id: monitor for mon_id, (_, monitor)
+                            in bank.monitors.items()})):
+                watch, always = rebuilt_index(monitors)
+                assert {atom: keys for atom, keys
+                        in index_owner._watch.items() if keys} == watch
+                assert index_owner._always == always
+                assert set(index_owner._filed) == set(monitors) - always
+            assert {f"M{mon_id}" for mon_id in bank.monitors} \
+                == set(session.monitors)

@@ -2,7 +2,7 @@
 query independence on a shared zone-graph checker, and for the
 active-clock reduction's verdict equivalence."""
 
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from repro.core.gates import _verdict_to_dict
 from repro.prevention.tasks import (
@@ -14,7 +14,7 @@ from repro.ta.automaton import Edge, Location, TimedAutomaton, parse_guard
 from repro.ta.checker import DiscreteTimeChecker, ZoneGraphChecker
 from repro.ta.dbm import DBM, INF, encode
 from repro.ta.query import parse_query
-from repro.ta.system import Network
+from repro.ta.system import Network, NetworkState
 
 N_CLOCKS = 2
 
@@ -434,6 +434,61 @@ def queries(draw, network):
             f"E[] {formula(clock_atoms=False)}",
             f"{formula(clock_atoms=False)} --> "
             f"{formula(clock_atoms=False)}"]
+
+
+def _two_pass_steps(network, state):
+    """The composition as a scan of every automaton's edges, twice:
+    internal edges, then each emit against each receive on its channel
+    in another automaton.  ``(index, edge)`` moves and target per step."""
+    def moved(pairs):
+        locations = list(state.locations)
+        for index, edge in pairs:
+            locations[index] = edge.target
+        return tuple(locations)
+
+    steps = []
+    for index, automaton in enumerate(network.automata):
+        for edge in automaton.outgoing(state.location_of(index)):
+            if edge.sync is None:
+                steps.append(([(index, id(edge))],
+                              moved([(index, edge)])))
+    emits, receives = [], []
+    for index, automaton in enumerate(network.automata):
+        for edge in automaton.outgoing(state.location_of(index)):
+            if edge.is_emit:
+                emits.append((index, edge))
+            elif edge.is_receive:
+                receives.append((index, edge))
+    for emit_index, emit_edge in emits:
+        for recv_index, recv_edge in receives:
+            if emit_index == recv_index \
+                    or emit_edge.channel != recv_edge.channel:
+                continue
+            pairs = [(emit_index, emit_edge), (recv_index, recv_edge)]
+            steps.append(([(index, id(edge)) for index, edge in pairs],
+                          moved(pairs)))
+    return steps
+
+
+def _every_state(network):
+    states = [()]
+    for automaton in network.automata:
+        states = [state + (location,) for state in states
+                  for location in automaton.locations]
+    return [NetworkState(locations) for locations in states]
+
+
+@settings(max_examples=300, deadline=None)
+@given(network=networks())
+@example(network=_token_ring(4, 3))
+def test_discrete_steps_equal_the_two_pass_scan(network):
+    """The per-location edge tables yield the steps, in the order, that
+    scanning every automaton's edges does, from every discrete state."""
+    for state in _every_state(network):
+        steps = [([(index, id(edge)) for index, edge in step.edges],
+                  step.target.locations)
+                 for step in network.discrete_steps(state)]
+        assert steps == _two_pass_steps(network, state), state
 
 
 @st.composite
