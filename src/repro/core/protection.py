@@ -94,7 +94,14 @@ def event_step(event: Event) -> FrozenSet[str]:
 
 
 class ProtectionLoop:
-    """Event-driven detect -> respond -> re-arm loop for one host."""
+    """Event-driven detect -> respond -> re-arm loop for one host.
+
+    Every event steps every armed monitor (:func:`step_monitors`), with
+    no routing.  That is deliberate: this loop is the serial baseline
+    that E2 and E12 measure the SOC's routed
+    :class:`~repro.soc.bank.MonitorBank` against, so routing it would
+    change what those experiments compare.
+    """
 
     def __init__(self, host: SimulatedHost, catalog: StigCatalog,
                  monitors: Dict[str, LtlMonitor],

@@ -235,7 +235,9 @@ def step_monitors(monitors: Mapping[str, LtlMonitor],
 
     Normalizes the step once (instead of per monitor) and returns the
     keys whose monitor concluded FALSE on this step — the batch entry
-    point the serial protection loop drives.
+    point the serial protection loop drives.  It steps every monitor,
+    skipping none: the serial loop is the unrouted baseline E2 and E12
+    compare the SOC's routed monitor bank against.
     """
     step = propositions if type(propositions) is frozenset \
         else frozenset(propositions)

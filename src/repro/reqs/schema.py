@@ -20,17 +20,15 @@ carried in the ``$id``): v2 adds the *optional* ``ir_version`` stamp
 that version-aware embedders — the scheduler journal's IR-fingerprint
 manifest — attach to records, while emitters of the bare shape (``repro
 reqs list --json``) stay byte-identical, so fingerprints and the
-``reqs-smoke`` drift check are unaffected.  :func:`migrate_record`
-upgrades older records in place of a hard failure: a v1 record (no
-``ir_version``) is stamped to the current version; a record claiming a
-*future* version is refused.
+``reqs-smoke`` drift check are unaffected.  A bare record validates as
+is; a record stamped with any other version fails the stamp's ``enum``.
 """
 
 import json
 import sys
 from typing import Any, Dict, List
 
-from repro.reqs.ir import IrError, SEVERITIES, TARGET_KINDS
+from repro.reqs.ir import SEVERITIES, TARGET_KINDS
 
 #: Wire-shape version.  Bump together with ``$id`` and regenerate
 #: ``schemas/requirement-ir.schema.json`` in the same commit.
@@ -102,37 +100,11 @@ IR_SCHEMA: Dict[str, Any] = {
                      "items": {"type": "string", "minLength": 1}},
         # Optional version stamp (the validator's keyword subset has no
         # "minimum"/"const", so the accepted value is pinned by enum).
-        # Emitters of the bare wire shape omit it; version-aware
-        # embedders (the scheduler journal) stamp it via
-        # migrate_record.
+        # Emitters of the bare wire shape omit it.
         "ir_version": {"type": "integer", "enum": [SCHEMA_VERSION]},
     },
 }
 
-
-def migrate_record(payload: Any) -> Any:
-    """Upgrade one wire record to the current schema version.
-
-    A v1 record — anything without an ``ir_version`` stamp — is
-    returned as a copy stamped ``SCHEMA_VERSION`` (the v1->v2 change is
-    purely additive, so stamping *is* the migration).  A current record
-    passes through unchanged; a record claiming an unknown (future)
-    version raises :class:`~repro.reqs.ir.IrError` rather than being
-    guessed at.
-    """
-    if not isinstance(payload, dict):
-        return payload
-    version = payload.get("ir_version", 1)
-    if version == SCHEMA_VERSION:
-        return payload
-    if version == 1:
-        migrated = dict(payload)
-        migrated["ir_version"] = SCHEMA_VERSION
-        return migrated
-    raise IrError(
-        f"cannot migrate IR record {payload.get('rid', '?')!r}: "
-        f"ir_version {version!r} is newer than this build's "
-        f"schema v{SCHEMA_VERSION}")
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -229,12 +201,6 @@ def main(argv=None) -> int:
         return 2
     failures = 0
     for index, record in enumerate(records):
-        try:
-            record = migrate_record(record)
-        except IrError as exc:
-            print(str(exc), file=sys.stderr)
-            failures += 1
-            continue
         errors = validate_record(record, schema)
         if errors:
             failures += 1

@@ -6,8 +6,10 @@ long-running concurrent service instead of a synchronous per-host loop:
 * :mod:`repro.soc.sharding` — consistent hashing of hosts onto shards;
 * :mod:`repro.soc.queues` — bounded shard queues with backpressure
   (block / drop-oldest / reject);
-* :mod:`repro.soc.sessions` — per-host monitor state, progressed off
-  the emitting thread with sound atom-indexed routing;
+* :mod:`repro.soc.bank` — one host's monitor bank: sound atom-indexed
+  routing and transactional stepping, shared by both backends;
+* :mod:`repro.soc.sessions` — the thread backend's per-host bank,
+  progressed off the emitting thread;
 * :mod:`repro.soc.incidents` — the incident pipeline: retry with
   exponential backoff + jitter, per-finding circuit breakers (the
   three-state breaker is the scheduler's,

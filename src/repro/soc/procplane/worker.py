@@ -1,10 +1,13 @@
 """Worker-process entry point: one shard's monitor bank, shared-nothing.
 
-A worker process owns everything its shard needs and nothing else: the
-monitor banks of the hosts placed on it (rebuilt locally from the
-manifest — formula *text* is the wire format, interning re-canonicalizes
-on parse), the routing index, the seen-sets, and local counters.  The
-only shared state is the two rings: ingress in, merge out.
+A worker process owns everything its shard needs and nothing else: a
+:class:`~repro.soc.bank.MonitorBank` per host placed on it (rebuilt
+locally from the manifest — formula *text* is the wire format, interning
+re-canonicalizes on parse), each host's req_id -> monitor id map for the
+wire records, and local counters.  The bank is the one the thread
+backend's sessions step, so routing, stepping order, rollback and the
+seen-set are the same code on both backends.  The only shared state is
+the two rings: ingress in, merge out.
 
 Degradation contract (mirrors :class:`~repro.soc.workers.ShardWorker`):
 
@@ -36,16 +39,15 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.environment.events import Event
 from repro.ltl.compile import (
     CompiledMonitor,
-    empty_step_stable,
     obligation_id,
     parse_formula_text,
 )
-from repro.ltl.monitor import Verdict
+from repro.soc.bank import MonitorBank
 from repro.soc.procplane.codec import (
     EventCodec,
     MergeCodec,
@@ -94,105 +96,22 @@ class WorkerSpec:
     rearm_generation: int = 0
 
 
-class HostBank:
-    """One host's monitors with the session's sound selective routing.
+def build_banks(spec: WorkerSpec) -> Tuple[Dict[int, MonitorBank],
+                                           Dict[int, Dict[str, int]]]:
+    """Rebuild this shard's monitor banks from the manifest.
 
-    The routing index mirrors :class:`~repro.soc.sessions.MonitorSession`
-    exactly (same skippability criterion, same sorted stepping order),
-    so thread and process backends produce identical detection
-    sequences for identical ingress.
+    Returns the banks by host id, and per host id the req_id ->
+    monitor id map that wire records name monitors by.
     """
-
-    __slots__ = ("host_id", "monitors", "order", "_watch", "_filed",
-                 "_always", "_route_memo", "seen", "events_seen",
-                 "stepped")
-
-    def __init__(self, host_id: int,
-                 monitors: List[Tuple[int, str, CompiledMonitor]]):
-        self.host_id = host_id
-        #: monitor_id -> (req_id, monitor)
-        self.monitors: Dict[int, Tuple[str, CompiledMonitor]] = {
-            mon_id: (req_id, monitor)
-            for mon_id, req_id, monitor in monitors}
-        #: req_id sort order decides stepping order (as sessions do).
-        self.order: Dict[int, str] = {mon_id: req_id
-                                      for mon_id, req_id, _ in monitors}
-        self._watch: Dict[str, Set[int]] = {}
-        #: monitor_id -> the atoms it is filed under in ``_watch``
-        self._filed: Dict[int, FrozenSet[str]] = {}
-        self._always: Set[int] = set()
-        #: bits -> tuple of monitor ids to step, invalidated whenever
-        #: any obligation reclassifies.  Benign traffic resolves its
-        #: routing in one dict probe.
-        self._route_memo: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        self.seen: Set[int] = set()
-        self.events_seen = 0
-        self.stepped = 0
-        for mon_id in self.monitors:
-            self._classify(mon_id)
-
-    def _unfile(self, mon_id: int) -> None:
-        self._always.discard(mon_id)
-        for atom in self._filed.pop(mon_id, ()):
-            self._watch[atom].discard(mon_id)
-
-    def _classify(self, mon_id: int) -> None:
-        obligation = self.monitors[mon_id][1].obligation
-        self._unfile(mon_id)
-        if empty_step_stable(obligation):
-            atoms = obligation.atoms()
-            for atom in atoms:
-                self._watch.setdefault(atom, set()).add(mon_id)
-            self._filed[mon_id] = atoms
-        else:
-            self._always.add(mon_id)
-        self._route_memo.clear()
-
-    def patch(self, add: List[Tuple[int, str, CompiledMonitor]],
-              remove: List[int]) -> None:
-        """Apply one re-arm delta in stream order (between two events).
-
-        Removed monitors leave every index; added monitors enter fresh.
-        Untouched monitors keep their obligation state — that is the
-        whole point of live re-arming.
-        """
-        for mon_id in remove:
-            if self.monitors.pop(mon_id, None) is None:
-                continue
-            self.order.pop(mon_id, None)
-            self._unfile(mon_id)
-        self._route_memo.clear()
-        for mon_id, req_id, monitor in add:
-            self.monitors[mon_id] = (req_id, monitor)
-            self.order[mon_id] = req_id
-            self._classify(mon_id)
-
-    def route(self, bits: Tuple[int, ...],
-              step: FrozenSet[str]) -> Tuple[int, ...]:
-        relevant = self._route_memo.get(bits)
-        if relevant is None:
-            ids = set(self._always)
-            for atom in step:
-                ids.update(self._watch.get(atom, ()))
-            relevant = tuple(sorted(ids, key=self.order.__getitem__))
-            self._route_memo[bits] = relevant
-        return relevant
-
-
-# Seen-set pruning mirrors MonitorSession's constants.
-_SEEN_LIMIT = 4096
-_SEEN_KEEP = 1024
-
-
-def build_banks(spec: WorkerSpec) -> Dict[int, HostBank]:
-    """Rebuild this shard's monitor banks from the manifest."""
-    per_host: Dict[int, List[Tuple[int, str, CompiledMonitor]]] = {
-        host_id: [] for host_id in spec.hosts}
+    monitors: Dict[int, Dict[str, CompiledMonitor]] = {
+        host_id: {} for host_id in spec.hosts}
+    mon_ids: Dict[int, Dict[str, int]] = {
+        host_id: {} for host_id in spec.hosts}
     for mon_id, host_id, req_id, text in spec.monitors:
-        per_host[host_id].append(
-            (mon_id, req_id, CompiledMonitor(parse_formula_text(text))))
-    return {host_id: HostBank(host_id, monitors)
-            for host_id, monitors in per_host.items()}
+        monitors[host_id][req_id] = CompiledMonitor(parse_formula_text(text))
+        mon_ids[host_id][req_id] = mon_id
+    return ({host_id: MonitorBank(bank)
+             for host_id, bank in monitors.items()}, mon_ids)
 
 
 def worker_main(spec: WorkerSpec) -> None:
@@ -202,7 +121,11 @@ def worker_main(spec: WorkerSpec) -> None:
     ingress.sync_consumer()
     merge.sync_producer()
     codec = EventCodec(spec.atoms, reserve=spec.reserve_atoms)
-    banks = build_banks(spec)
+    banks, mon_ids = build_banks(spec)
+    #: monitor id -> req_id, for re-arm removals (monitor ids are
+    #: unique across the fleet and never reused).
+    req_ids: Dict[int, str] = {mon_id: req_id for mon_id, _, req_id, _
+                               in spec.monitors}
     strikes: Dict[Tuple[int, int, int], int] = {
         (host_id, time_, kind_id): count
         for host_id, time_, kind_id, count in spec.strikes}
@@ -227,39 +150,6 @@ def worker_main(spec: WorkerSpec) -> None:
         merge.push_blocking(
             lambda buf, off: MergeCodec.pack_progress(buf, off, p, s, d, e))
         processed = stepped = duplicates = session_errors = 0
-
-    def observe(bank: HostBank, bits, step, host_id, kind_id, etime):
-        """Step one event through one bank, transactionally.
-
-        Returns the number of monitor steps performed; detections are
-        published inline.  On an exception every advanced obligation is
-        rolled back before re-raising (the retry must not double-step).
-        """
-        undo = []
-        steps = 0
-        try:
-            for mon_id in bank.route(bits, step):
-                req_id, monitor = bank.monitors[mon_id]
-                before = monitor.obligation
-                undo.append((mon_id, monitor, before,
-                             monitor.steps_observed))
-                verdict = monitor.observe(step)
-                steps += 1
-                if verdict is Verdict.FALSE:
-                    merge.push_blocking(
-                        lambda buf, off, m=mon_id:
-                        MergeCodec.pack_detection(buf, off, host_id, m,
-                                                  kind_id, etime))
-                    monitor.reset()
-                if monitor.obligation is not before:
-                    bank._classify(mon_id)
-        except Exception:
-            for mon_id, monitor, obligation, count in reversed(undo):
-                monitor.obligation = obligation
-                monitor.steps_observed = count
-                bank._classify(mon_id)
-            raise
-        return steps
 
     # Hot-path locals: the batch loop below runs once per event, and
     # attribute lookups are a measurable fraction of per-event cost.
@@ -317,12 +207,11 @@ def worker_main(spec: WorkerSpec) -> None:
             if tag == EVENT:
                 host_id, kind_id, etime, bits = unpack(ibuf, offset)
                 bank = banks[host_id]
-                if track_seen:
-                    if etime in bank.seen:
-                        duplicates += 1
-                        processed += 1
-                        advance()
-                        continue
+                if track_seen and bank.already_observed(etime):
+                    duplicates += 1
+                    processed += 1
+                    advance()
+                    continue
                 if strikes:
                     strike_key = (host_id, etime, kind_id)
                     strike_count = strikes.get(strike_key, 0)
@@ -369,15 +258,14 @@ def worker_main(spec: WorkerSpec) -> None:
                 step = step_memo.get(bits)
                 if step is None:
                     step = unproject(bits)
-                bank.events_seen += 1
+                stepped_before = bank.monitors_stepped
                 try:
                     if fault is not None and fault.value == "session-error":
                         from repro.chaos.controller import \
                             InjectedSessionError
                         raise InjectedSessionError(
                             f"{host_names[host_id]}@{etime}")
-                    stepped += observe(bank, bits, step, host_id,
-                                       kind_id, etime)
+                    tripped = bank.step(step, etime if track_seen else None)
                 except Exception:
                     session_errors += 1
                     strike_count += 1
@@ -398,13 +286,16 @@ def worker_main(spec: WorkerSpec) -> None:
                         strikes[strike_key] = strike_count
                         break
                     continue
+                stepped += bank.monitors_stepped - stepped_before
+                # Published only once the whole sweep has succeeded: a
+                # rolled-back sweep's retry cannot publish a twin.
+                for req_id in tripped:
+                    merge.push_blocking(
+                        lambda buf, off, m=mon_ids[host_id][req_id]:
+                        MergeCodec.pack_detection(buf, off, host_id, m,
+                                                  kind_id, etime))
                 if strike_count:
                     strikes.pop(strike_key, None)
-                if track_seen:
-                    bank.seen.add(etime)
-                    if len(bank.seen) > _SEEN_LIMIT:
-                        horizon = max(bank.seen) - _SEEN_KEEP
-                        bank.seen = {t for t in bank.seen if t >= horizon}
                 processed += 1
                 advance()
             elif tag == REARM:
@@ -431,11 +322,18 @@ def worker_main(spec: WorkerSpec) -> None:
                     bank = banks.get(host_id)
                     if bank is None:
                         continue
+                    ids = mon_ids[host_id]
+                    removed = [req_ids.pop(mon_id) for mon_id in removes
+                               if mon_id in req_ids]
+                    for req_id in removed:
+                        del ids[req_id]
+                    for mon_id, req_id, _ in adds:
+                        ids[req_id] = mon_id
+                        req_ids[mon_id] = req_id
                     bank.patch(
-                        [(mon_id, req_id,
-                          CompiledMonitor(parse_formula_text(text)))
-                         for mon_id, req_id, text in adds],
-                        removes)
+                        [(req_id, CompiledMonitor(parse_formula_text(text)))
+                         for _, req_id, text in adds],
+                        removed)
                 rearm_done = generation
                 flush_progress()
                 # Echo before committing the head: if we die between
@@ -477,9 +375,10 @@ def worker_main(spec: WorkerSpec) -> None:
 
     # Finalize: publish every monitor's terminal state for the
     # equivalence surface, then sign off.
-    for bank in banks.values():
-        for mon_id in sorted(bank.monitors, key=bank.order.__getitem__):
-            _req_id, monitor = bank.monitors[mon_id]
+    for host_id, bank in banks.items():
+        for req_id in sorted(bank.monitors):
+            monitor = bank.monitors[req_id]
+            mon_id = mon_ids[host_id][req_id]
             digest = obligation_id(monitor.obligation)
             verdict = monitor.verdict.value
             merge.push_blocking(

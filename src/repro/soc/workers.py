@@ -259,7 +259,7 @@ class ShardWorker:
                         deferred.append((host_name, event))
                         continue
                     session = self.sessions[host_name]
-                    if session.already_observed(event):
+                    if session.already_observed(event.time):
                         # At-least-once ingress (chaos duplicates) made
                         # delivery redundant; the session's seen-set
                         # makes it idempotent.  Suppressed before the

@@ -288,34 +288,25 @@ class TestSchemaVersioning:
         assert f".v{SCHEMA_VERSION}." in SCHEMA_ID
         assert IR_SCHEMA["$id"] == SCHEMA_ID
 
-    def test_bare_record_still_valid_and_migratable(self):
+    def test_bare_record_still_valid(self):
         """Emitters of the v1 wire shape stay valid unchanged."""
-        from repro.reqs.schema import SCHEMA_VERSION, migrate_record
-
         payload = golden_requirement().to_dict()
         assert "ir_version" not in payload      # emitters unchanged
         assert validate_record(payload) == []
-        migrated = migrate_record(payload)
-        assert migrated is not payload          # stamped copy
-        assert migrated["ir_version"] == SCHEMA_VERSION
-        assert validate_record(migrated) == []
-        assert "ir_version" not in payload      # original untouched
 
-    def test_current_record_passes_through(self):
-        from repro.reqs.schema import SCHEMA_VERSION, migrate_record
+    def test_future_version_refused(self, monkeypatch, capsys):
+        """``python -m repro.reqs.schema`` fails a record stamped with a
+        version newer than this build's schema."""
+        import io
+        import json
 
-        payload = dict(golden_requirement().to_dict(),
-                       ir_version=SCHEMA_VERSION)
-        assert migrate_record(payload) is payload
-
-    def test_future_version_refused(self):
-        from repro.reqs.ir import IrError
-        from repro.reqs.schema import SCHEMA_VERSION, migrate_record
+        from repro.reqs import schema
 
         payload = dict(golden_requirement().to_dict(),
-                       ir_version=SCHEMA_VERSION + 1)
-        with pytest.raises(IrError, match="newer"):
-            migrate_record(payload)
+                       ir_version=schema.SCHEMA_VERSION + 1)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([payload])))
+        assert schema.main([]) == 1
+        assert "ir_version" in capsys.readouterr().err
 
     def test_wrong_version_stamp_fails_validation(self):
         from repro.reqs.schema import SCHEMA_VERSION

@@ -9,6 +9,7 @@ surfaces; chaos variants additionally exercise crash/restart and
 quarantine carryover across worker processes.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -382,6 +383,59 @@ class TestEquivalence:
             if key.startswith("soc.shard.") and key.endswith(".processed"))
         assert shards_processed(proc_counters) \
             == shards_processed(thread_counters)
+
+
+class TestRolledBackSweep:
+    """A monitor that raises mid-sweep rolls the whole sweep back, so
+    a monitor stepped earlier in that sweep must not be published
+    twice when the event is retried."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched monitor class must reach the worker process")
+    def test_retried_sweep_publishes_each_detection_once(self, monkeypatch):
+        from repro.ltl.compile import CompiledMonitor
+
+        monkeypatch.setenv("REPRO_SOC_MP_START", "fork")
+        flaky = parse_ltl("G (drift.package -> F repaired)")
+        observe = CompiledMonitor.observe
+        raised = []
+
+        def observe_once_raising(self, propositions):
+            if self.formula is flaky and "drift.package" in propositions \
+                    and not raised:
+                raised.append(True)
+                raise RuntimeError("injected monitor fault")
+            return observe(self, propositions)
+
+        monkeypatch.setattr(CompiledMonitor, "observe", observe_once_raising)
+
+        def run(backend):
+            raised.clear()
+            host = hardened_ubuntu_host("dup-host")
+            monitors = {"A": CompiledMonitor(parse_ltl("G !drift.package")),
+                        "B": CompiledMonitor(flaky)}
+            plans = {host.name: (monitors, {"A": [], "B": []})}
+            service = SocService([host], default_catalog(), plans, shards=1,
+                                 backend=backend).start()
+            try:
+                host.events.emit("app.heartbeat")
+                host.events.emit("drift.package")
+                service.drain()
+            finally:
+                service.stop()
+            incidents = [(incident.detected_at, incident.req_id,
+                          incident.trigger_kind)
+                         for incident in service.incidents()]
+            errors = service.metrics_snapshot()["counters"].get(
+                "soc.session.errors", 0)
+            return incidents, errors
+
+        thread_incidents, thread_errors = run("thread")
+        proc_incidents, proc_errors = run("process")
+        assert proc_incidents == thread_incidents
+        assert [req_id for _, req_id, _ in thread_incidents] == ["A"]
+        assert thread_errors == proc_errors == 1
 
 
 # -- process-backend degradation ---------------------------------------------

@@ -1,16 +1,21 @@
-"""Unit tests for per-host monitor sessions and their sound routing."""
+"""Unit tests for the monitor bank both SOC backends step, and for
+the thread backend's per-host sessions built on it."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.protection import event_step
 from repro.environment.events import Event
 from repro.environment.host import SimulatedHost
-from repro.ltl.compile import CompiledMonitor, empty_step_stable
+from repro.ltl.compile import CompiledMonitor, empty_step_stable, step_monitors
 from repro.ltl.monitor import LtlMonitor, Verdict
 from repro.ltl.parser import parse_ltl
-from repro.soc.procplane.worker import HostBank
+from repro.soc.bank import MonitorBank
 from repro.soc.sessions import MonitorSession, SessionPatch
+from repro.specpatterns import supported_combinations, to_ltl
 
 
 def make_session(formulas, bindings=None):
@@ -195,17 +200,6 @@ def rebuilt_index(monitors):
     return watch, always
 
 
-def step_bank(bank, step):
-    """The process worker's stepping loop over one bank, one event."""
-    for mon_id in bank.route(tuple(sorted(step)), step):
-        monitor = bank.monitors[mon_id][1]
-        before = monitor.obligation
-        if monitor.observe(step) is Verdict.FALSE:
-            monitor.reset()
-        if monitor.obligation is not before:
-            bank._classify(mon_id)
-
-
 class TestRoutingIndexUnderRandomTraffic:
     """Reclassifying or removing a monitor touches only the atoms it
     is filed under, and both backends' indexes still equal one rebuilt
@@ -214,19 +208,21 @@ class TestRoutingIndexUnderRandomTraffic:
     @settings(max_examples=150, deadline=None)
     @given(ops=routing_ops)
     def test_thread_and_process_indexes_stay_fresh(self, ops):
+        # The thread backend steps a MonitorSession, a worker process
+        # steps a bare MonitorBank patched with (req_id, monitor) pairs.
         start = {mon_id: FORMULAS[mon_id] for mon_id in range(3)}
         host = SimulatedHost("r-host", "ubuntu")
         session = MonitorSession(
             host, {f"M{mon_id}": CompiledMonitor(parse_ltl(text))
                    for mon_id, text in start.items()}, {})
-        bank = HostBank(0, [(mon_id, f"M{mon_id}",
-                             CompiledMonitor(parse_ltl(text)))
-                            for mon_id, text in start.items()])
+        bank = MonitorBank({f"M{mon_id}": CompiledMonitor(parse_ltl(text))
+                            for mon_id, text in start.items()})
         for index, op in enumerate(ops):
             if op[0] == "observe":
                 observed = Event(time=index, kind=op[1])
-                session.observe(observed)
-                step_bank(bank, event_step(observed))
+                detections = session.observe(observed)
+                assert bank.step(event_step(observed)) \
+                    == [detection.req_id for detection in detections]
             else:
                 _, adds, removes = op
                 adds = dict(adds)
@@ -236,18 +232,113 @@ class TestRoutingIndexUnderRandomTraffic:
                                CompiledMonitor(parse_ltl(text)), ())
                               for mon_id, text in adds.items()),
                     remove=tuple(f"M{mon_id}" for mon_id in removes)))
-                bank.patch([(mon_id, f"M{mon_id}",
-                             CompiledMonitor(parse_ltl(text)))
-                            for mon_id, text in adds.items()],
-                           list(removes))
-            for index_owner, monitors in (
-                    (session, session.monitors),
-                    (bank, {mon_id: monitor for mon_id, (_, monitor)
-                            in bank.monitors.items()})):
-                watch, always = rebuilt_index(monitors)
+                bank.patch(add=[(f"M{mon_id}",
+                                 CompiledMonitor(parse_ltl(text)))
+                                for mon_id, text in adds.items()],
+                           remove=[f"M{mon_id}" for mon_id in removes])
+            for owner in (session, bank):
+                watch, always = rebuilt_index(owner.monitors)
                 assert {atom: keys for atom, keys
-                        in index_owner._watch.items() if keys} == watch
-                assert index_owner._always == always
-                assert set(index_owner._filed) == set(monitors) - always
-            assert {f"M{mon_id}" for mon_id in bank.monitors} \
-                == set(session.monitors)
+                        in owner._watch.items() if keys} == watch
+                assert owner._always == always
+                assert set(owner._filed) == set(owner.monitors) - always
+            assert set(bank.monitors) == set(session.monitors)
+
+
+PATTERN_ATOMS = ("p", "q", "r", "s", "t")
+
+
+@st.composite
+def pattern_formulas(draw):
+    """``to_ltl`` of a random supported pattern x scope over a small
+    alphabet (so atoms recur across the formulas of one bank)."""
+    pattern_cls, scope_cls = draw(st.sampled_from(supported_combinations()))
+
+    def instance(cls):
+        # Bounds: the only LTL-mapped bounded existence is bound 2, and
+        # a timed response's bound is dropped from its LTL mapping.
+        return cls(**{
+            field.name: (2 if field.name == "bound"
+                         else draw(st.sampled_from(PATTERN_ATOMS)))
+            for field in dataclasses.fields(cls)})
+
+    return to_ltl(instance(pattern_cls), instance(scope_cls))
+
+
+#: At most 200 steps: after-Q obligations nest one level deeper per q,
+#: and progression recurses over that depth.
+pattern_step = st.frozensets(st.sampled_from(PATTERN_ATOMS + ("noise",)),
+                             max_size=3)
+pattern_steps = st.lists(pattern_step, max_size=200)
+
+
+def bank_of(formulas, monitor=CompiledMonitor):
+    return {f"R{index:02d}": monitor(formula)
+            for index, formula in enumerate(formulas)}
+
+
+class RaisingMonitor(CompiledMonitor):
+    """A compiled monitor that raises on its next step while armed."""
+
+    armed = False
+
+    def observe(self, propositions):
+        if self.armed:
+            raise RuntimeError("injected monitor fault")
+        return super().observe(propositions)
+
+
+def bank_state(bank):
+    return ({req_id: (monitor.obligation, monitor.steps_observed)
+             for req_id, monitor in bank.monitors.items()},
+            {atom: set(keys) for atom, keys in bank._watch.items() if keys},
+            dict(bank._filed), set(bank._always), set(bank._seen))
+
+
+class TestMonitorBankProperties:
+    """The one bank against the serial loop's ``step_monitors``, which
+    steps every monitor on every step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas=st.lists(pattern_formulas(), min_size=1, max_size=6),
+           steps=pattern_steps)
+    def test_step_trips_what_step_monitors_trips(self, formulas, steps):
+        bank = MonitorBank(bank_of(formulas))
+        reference = bank_of(formulas, LtlMonitor)
+        for step in steps:
+            tripped = step_monitors(reference, step)
+            for req_id in tripped:
+                reference[req_id].reset()
+            assert bank.step(step) == sorted(tripped)
+            assert {req_id: monitor.obligation for req_id, monitor
+                    in bank.monitors.items()} \
+                == {req_id: monitor.obligation for req_id, monitor
+                    in reference.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas=st.lists(pattern_formulas(), min_size=1, max_size=6),
+           prefix=pattern_steps, fault_step=pattern_step)
+    def test_raising_monitor_rolls_the_sweep_back(self, formulas, prefix,
+                                                  fault_step):
+        # "Z" sorts after every "Rnn" and watches "boom", so on the
+        # faulting step it is stepped last: every other monitor routed
+        # there has already advanced (and maybe tripped) when it raises.
+        monitors = bank_of(formulas)
+        monitors["Z"] = RaisingMonitor(parse_ltl("G !boom"))
+        bank = MonitorBank(monitors)
+        twin = MonitorBank(dict(bank_of(formulas),
+                                Z=CompiledMonitor(parse_ltl("G !boom"))))
+        for time, step in enumerate(prefix):
+            assert bank.step(step, time) == twin.step(step, time)
+        before = bank_state(bank)
+        fault_step = fault_step | {"boom"}
+        monitors["Z"].armed = True
+        with pytest.raises(RuntimeError, match="injected"):
+            bank.step(fault_step, len(prefix))
+        assert bank_state(bank) == before
+        assert not bank.already_observed(len(prefix))
+        # The retry reports exactly what a sweep that never failed does.
+        monitors["Z"].armed = False
+        assert bank.step(fault_step, len(prefix)) \
+            == twin.step(fault_step, len(prefix))
+        assert bank_state(bank) == bank_state(twin)
