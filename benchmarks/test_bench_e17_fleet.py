@@ -2,8 +2,8 @@
 
 The distributed payoff of the content-addressed cache: one cold run
 seeds a shared remote tier, then N concurrent runs — each with a
-fresh, empty local tier, as N CI machines would have — verify the same
-workload simultaneously.  Gates:
+cold memory tier over that remote, as N fresh CI machines would
+have — verify the same workload simultaneously.  Gates:
 
 1. **Warm-hit rate >= 0.9 across the fleet.**  The concurrent runs
    answer (almost) everything from the shared tier; with the bundled

@@ -313,12 +313,15 @@ def cmd_soc(args, out) -> int:
 
 
 def _build_cache(args):
-    """The tiered verification cache the pipeline flags describe.
+    """The verification cache the pipeline flags describe: a memory
+    tier over one persistent tier.
 
-    ``--cache`` attaches the local bucket store, ``--shared-cache``
-    the fleet-shared remote, and ``--cache-tier`` caps the stack
-    (``memory`` runs cacheless-but-memoized, ``local`` ignores a
-    remote, ``shared`` requires one).  No flags, no cache.
+    ``--shared-cache`` makes the fleet-shared remote that tier, else
+    ``--cache`` makes the local bucket store it; ``--cache-tier``
+    picks explicitly (``memory`` runs cacheless-but-memoized,
+    ``local`` ignores a remote, ``shared`` requires one).  With a
+    remote, no local directory is read, written or created.  No
+    flags, no cache.
     """
     tier = getattr(args, "cache_tier", None)
     shared = getattr(args, "shared_cache", None)
@@ -338,12 +341,6 @@ def _build_cache(args):
                          "--cache DIR")
     if tier == "memory":
         return VerificationCache(None, tier="memory")
-    if shared and not args.cache:
-        # Shared-only fleets still need somewhere for the local tier;
-        # an ephemeral directory keeps the remote the only persistence.
-        import tempfile
-
-        args.cache = tempfile.mkdtemp(prefix="repro-cache-")
     return VerificationCache(args.cache, shared=shared, tier=tier)
 
 
@@ -389,11 +386,11 @@ def cmd_pipeline(args, out) -> int:
     ``--jobs N`` wave-schedules pipeline jobs and fans the verification
     queries out to N threads; ``--cache DIR`` makes re-runs incremental
     through the content-addressed verdict cache; ``--shared-cache DIR``
-    adds the directory-based remote tier a CI fleet shares (hits are
-    attributed per tier in the stats); ``--cache-tier`` caps the tier
-    stack; ``--json`` emits the machine-readable run summary (cache
-    stats included) on stdout with status lines on stderr, like
-    ``repro soc --json``.
+    persists verdicts to the directory-based remote tier a CI fleet
+    shares instead (hits are attributed per tier in the stats);
+    ``--cache-tier`` picks the tier; ``--json`` emits the
+    machine-readable run summary (cache stats included) on stdout with
+    status lines on stderr, like ``repro soc --json``.
     """
     from repro.core import VeriDevOpsOrchestrator
     from repro.prevention import bundled_verification_tasks
@@ -975,17 +972,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="parallel workers for stage jobs and "
                                "verification queries (default 1: serial)")
     pipeline.add_argument("--cache", metavar="DIR", default=None,
-                          help="content-addressed verification cache "
-                               "directory; re-runs only re-verify "
-                               "changed artifacts")
+                          help="local content-addressed verification "
+                               "cache directory; re-runs only re-verify "
+                               "changed artifacts (not used when "
+                               "--shared-cache is given)")
     pipeline.add_argument("--shared-cache", metavar="DIR", default=None,
                           help="shared remote cache tier: a directory "
                                "of sharded verdict buckets concurrent "
                                "CI runs read through and write back to")
     pipeline.add_argument("--cache-tier", default=None,
                           choices=("memory", "local", "shared"),
-                          help="deepest cache tier to engage (default: "
-                               "inferred from --cache/--shared-cache)")
+                          help="the one tier verdicts persist to "
+                               "(default: shared with --shared-cache, "
+                               "else local with --cache)")
     pipeline.add_argument("--json", action="store_true",
                           help="emit the machine-readable JSON run "
                                "summary (cache stats included) instead "
@@ -1007,8 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared remote cache directory (default: "
                             "a fresh directory under --workdir)")
     fleet.add_argument("--workdir", metavar="DIR", default=None,
-                       help="where per-run local cache roots live "
-                            "(default: a temp directory)")
+                       help="where the shared remote lives when "
+                            "--shared-cache is not given (default: a "
+                            "temp directory)")
     fleet.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="verification workers inside each run")
     fleet.add_argument("--processes", action="store_true",

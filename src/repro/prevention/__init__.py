@@ -11,9 +11,9 @@ changed.  Mutating any ingested artifact changes its fingerprint and
 invalidates exactly the affected entries.
 
 Since the CAS promotion (:mod:`repro.prevention.cas`) the store is
-tiered — in-memory LRU over sharded local buckets over an optional
-directory-based shared remote — so verdicts flow between concurrent
-CI runs instead of being recomputed per process;
+tiered — an in-memory LRU over one sharded bucket store, either local
+or a directory-based remote shared by the fleet — so verdicts flow
+between concurrent CI runs instead of being recomputed per process;
 :func:`simulate_fleet` measures that end to end.
 """
 

@@ -3,9 +3,10 @@
 Historically this module *was* the store: one JSON file mapping task
 labels to ``{fingerprint, verdict}`` entries.  It is now a thin shim
 over the tiered CAS in :mod:`repro.prevention.cas` — an in-memory LRU
-over a sharded local bucket store, optionally backed by a shared
-directory-based remote so concurrent CI runs exchange verdicts — with
-the exact lookup semantics the prevention plane was built on:
+over one persistent bucket store: a directory-based remote that
+concurrent CI runs share when one is given, else a sharded local
+store — with the exact lookup semantics the prevention plane was
+built on:
 
 * label present, fingerprint matches — **hit**: the stored verdict is
   returned (byte-identical to the flat-cache era) and no model
@@ -14,15 +15,17 @@ the exact lookup semantics the prevention plane was built on:
   entry is dropped (counted) and the lookup reports a miss;
 * label absent — **miss**.
 
-Buckets are written atomically (temp file + rename) under per-bucket
-advisory file locks, and only when dirty — a fully-warm run leaves
-every file untouched.  A legacy single-file store
-(``verification-cache.json``) found at the cache root is migrated
-into the bucket store on first open and renamed ``*.migrated``; a
-corrupt legacy file is counted in ``corrupt_loads`` and warned about
-instead of being silently swallowed.  All operations take the
-internal locks they need: the parallel verification gate fans its
-misses out to a thread pool and stores results back concurrently.
+A save appends one record of its changes to each dirty bucket under
+that bucket's advisory lock (a bucket is rewritten whole, through a
+temp file and rename, only when it is new, torn or full), and only
+dirty buckets are touched — a fully-warm run leaves every file as it
+was.  A legacy single-file store (``verification-cache.json``) found
+at the local cache root is migrated into the local bucket store on
+first local open and renamed ``*.migrated``; a corrupt legacy file is
+counted in ``corrupt_loads`` and warned about instead of being
+silently swallowed.  All operations take the internal locks they
+need: the parallel verification gate fans its misses out to a thread
+pool and stores results back concurrently.
 """
 
 import json
@@ -42,8 +45,8 @@ __all__ = ["CacheStats", "VerificationCache"]
 #: Distinguishes writers sharing one process (fleet-simulator threads).
 _WRITER_SEQ = count()
 
-#: Tier configurations ``--cache-tier`` may request: the deepest tier
-#: the stack engages.
+#: Tier configurations ``--cache-tier`` may request: the one tier the
+#: memory tier persists to (none, the local store, the shared remote).
 CACHE_TIERS = ("memory", "local", "shared")
 
 
@@ -55,10 +58,13 @@ class VerificationCache:
     """Tiered verdict cache keyed by task label + fingerprint.
 
     ``path`` is the local cache root (a directory; a legacy file path
-    is accepted and resolved to its parent).  ``shared`` attaches a
-    remote bucket store on that directory — the tier a CI fleet
-    shares.  ``tier`` caps the stack: ``"memory"`` (no persistence),
-    ``"local"`` (default), or ``"shared"`` (requires *shared*).
+    is accepted and resolved to its parent).  ``shared`` is the remote
+    bucket store's directory — the tier a CI fleet shares.  ``tier``
+    picks the one persistent tier: ``"memory"`` (no persistence),
+    ``"local"`` (requires *path*; ignores *shared*), or ``"shared"``
+    (requires *shared*; *path* is not used).  It defaults to
+    ``"shared"`` when *shared* is given, else ``"local"`` when *path*
+    is, else ``"memory"``.
     """
 
     FILENAME = "verification-cache.json"
@@ -79,8 +85,8 @@ class VerificationCache:
         if tier == "shared" and shared is None:
             raise ValueError("tier 'shared' needs a shared cache "
                              "directory")
-        if tier != "memory" and path is None:
-            raise ValueError(f"tier {tier!r} needs a local cache path")
+        if tier == "local" and path is None:
+            raise ValueError("tier 'local' needs a local cache path")
         self.writer_id = writer_id if writer_id is not None \
             else default_writer_id()
         self.stats = CacheStats()
@@ -102,18 +108,18 @@ class VerificationCache:
         self.legacy_path = legacy
 
         local = remote = None
-        if tier != "memory" and root is not None:
+        if tier == "local":
             local = BucketStore(root / "cas", max_entries=max_entries,
                                 chaos=chaos, stats=self.stats,
                                 tier="local")
-        if tier == "shared":
+        elif tier == "shared":
             remote = BucketStore(Path(shared) / "cas",
                                  max_entries=max_entries, chaos=chaos,
                                  stats=self.stats, tier="remote")
         self.store_tiers = TieredVerdictStore(
             local=local, remote=remote, memory_entries=memory_entries,
             writer_id=self.writer_id, chaos=chaos, stats=self.stats)
-        if legacy is not None and local is not None:
+        if local is not None:
             self._migrate_legacy(legacy)
 
     # -- legacy single-file migration ---------------------------------------
@@ -176,8 +182,8 @@ class VerificationCache:
             self.store_tiers.store(label, fp, verdict)
 
     def save(self) -> bool:
-        """Flush dirty entries tier by tier; returns whether any
-        bucket was written."""
+        """Flush dirty entries to the persistent tier; returns whether
+        any bucket was written."""
         with self._lock:
             return self.store_tiers.save()
 

@@ -3,10 +3,11 @@
 The prevention plane's verdict store, promoted from one JSON file to a
 remote-cache architecture: sharded multi-writer buckets
 (:mod:`~repro.prevention.cas.store`) stacked into read-through /
-write-back tiers (:mod:`~repro.prevention.cas.tiers`) — in-memory LRU,
-a local on-disk store, and a directory-based remote shared by a whole
-CI fleet.  :class:`~repro.prevention.VerificationCache` remains the
-compat front door the verification gate talks to.
+write-back tiers (:mod:`~repro.prevention.cas.tiers`) — an in-memory
+LRU over one persistent store: a directory-based remote shared by a
+whole CI fleet, or a local on-disk store when there is no remote.
+:class:`~repro.prevention.VerificationCache` remains the compat front
+door the verification gate talks to.
 """
 
 from repro.prevention.cas.store import (

@@ -374,11 +374,10 @@ class BucketStore:
     # -- writes -------------------------------------------------------------
 
     def put_many(self, entries: Mapping[str, Dict[str, Any]],
-                 deletions: Optional[Mapping[str, int]] = None,
-                 promotions: Optional[Mapping[str, Dict[str, Any]]] = None
+                 deletions: Optional[Mapping[str, int]] = None
                  ) -> "set[str]":
-        """Merge fresh *entries*, tombstoned *deletions* and
-        *promotions* into the store, in one pass over their buckets.
+        """Merge fresh *entries* and tombstoned *deletions* into the
+        store, in one pass over their buckets.
 
         Fresh stores re-stamp above every stamp observed in the bucket
         — the writer holding the lock is the latest writer, so
@@ -386,13 +385,10 @@ class BucketStore:
         is written into the caller's entry dict *in place*: the owning
         tier store shares those dicts across its memory tier and
         pending journal, so every view agrees on the entry's identity
-        after a flush.  Promotions (e.g. remote hits written back to
-        the local tier) keep their original stamp and provenance and
-        never overwrite a newer entry.  A deletion only lands while the
-        bucket still holds the stamp the deleter observed: a
-        concurrently re-stored entry survives its stale tombstone.
-        Within a bucket, deletions apply first, then fresh stores, then
-        promotions.
+        after a flush.  A deletion only lands while the bucket still
+        holds the stamp the deleter observed: a concurrently re-stored
+        entry survives its stale tombstone.  Within a bucket, deletions
+        apply first, then fresh stores.
 
         A bucket whose advisory lock times out is skipped — its labels
         simply do not appear in the returned set, so callers keep them
@@ -400,13 +396,12 @@ class BucketStore:
         chaos-injected) bucket never blocks progress on the others.
         Returns the labels whose buckets were processed.
         """
-        by_prefix: Dict[str, Tuple[dict, dict, dict]] = {}
-        for slot, updates in enumerate((deletions or {}, entries,
-                                        promotions or {})):
+        by_prefix: Dict[str, Tuple[dict, dict]] = {}
+        for slot, updates in enumerate((deletions or {}, entries)):
             for label, update in updates.items():
                 prefix = bucket_prefix(label, self.prefix_len)
                 if prefix not in by_prefix:
-                    by_prefix[prefix] = ({}, {}, {})
+                    by_prefix[prefix] = ({}, {})
                 by_prefix[prefix][slot][label] = update
         flushed: set = set()
         if not by_prefix:
@@ -423,8 +418,7 @@ class BucketStore:
         return flushed
 
     def _merge(self, prefix: str, deletions: Dict[str, int],
-               fresh: Dict[str, Dict[str, Any]],
-               promotions: Dict[str, Dict[str, Any]]) -> None:
+               fresh: Dict[str, Dict[str, Any]]) -> None:
         """One bucket's share of :meth:`put_many`, under its lock."""
         bucket, records = self._load(prefix)
         top = max((e.get("stored_at", 0) for e in bucket.values()),
@@ -440,13 +434,6 @@ class BucketStore:
             top = max(top + 1, entry.get("stored_at", 0))
             entry["stored_at"] = top
             if bucket.get(label) != entry:
-                bucket[label] = changes[label] = dict(entry)
-        for label, entry in promotions.items():
-            current = bucket.get(label)
-            if current is not None and current.get("stored_at", 0) >= \
-                    entry.get("stored_at", 0):
-                continue
-            if current != entry:
                 bucket[label] = changes[label] = dict(entry)
         if changes:
             self._write_bucket(prefix, bucket, changes, records)

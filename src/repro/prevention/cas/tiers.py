@@ -1,30 +1,31 @@
-"""Read-through / write-back tiering over the bucket stores.
+"""Read-through / write-back tiering over one bucket store.
 
-A :class:`TieredVerdictStore` stacks up to three tiers:
+A :class:`TieredVerdictStore` stacks two tiers:
 
 * **memory** — a per-process LRU map, the hot path for warm runs;
-* **local** — a :class:`~repro.prevention.cas.store.BucketStore` on
-  the run's own disk (survives process restarts);
-* **remote** — a second bucket store on a directory shared by a whole
-  CI fleet (the distributed part: every concurrent run reads and
-  publishes the same verdict space).
+* **one persistent tier** — a
+  :class:`~repro.prevention.cas.store.BucketStore`: the *remote* on a
+  directory a whole CI fleet shares when one is configured (every
+  concurrent run reads and publishes the same verdict space), else
+  the *local* store on the run's own disk.  A local store given beside
+  a remote is never read or written: a CI agent's local tier would
+  only ever mirror the remote it sits behind.
 
-Lookup is read-through: tiers are consulted fastest-first, and the
-first tier holding the label decides the outcome exactly as the flat
-JSON cache did — matching fingerprint is a hit (promoted into the
-faster tiers), a moved fingerprint is an invalidation (tombstoned
-everywhere) plus a miss.  Because the decision is made by the first
-tier that knows the label, a sequence of lookups/stores is
-*accounting-identical* to the flat cache whenever the tiers are
-coherent — the equivalence property suite pins exactly that.
+Lookup is read-through: memory first, then the persistent tier, and
+the first tier holding the label decides the outcome exactly as the
+flat JSON cache did — matching fingerprint is a hit (kept in memory),
+a moved fingerprint is an invalidation (tombstoned in both tiers) plus
+a miss.  A sequence of lookups/stores is therefore
+*accounting-identical* to the flat cache — the equivalence property
+suite pins exactly that.
 
 Writes are write-back: ``store`` lands in memory immediately and is
-journaled as pending; ``save`` publishes pending entries (and
-tombstones) to the local tier, then to the remote tier, each in one
-pass under its bucket locks.  A lock timeout (real or chaos-injected)
-leaves the remainder pending for the next ``save`` — nothing is lost,
-nothing torn.  Every hit records provenance: which tier answered, which
-writer stored the verdict, at what logical stamp.
+journaled as pending; ``save`` publishes pending entries and
+tombstones to the persistent tier in one pass under its bucket locks.
+A lock timeout (real or chaos-injected) leaves the remainder pending
+for the next ``save`` — nothing is lost, nothing torn.  Every hit
+records provenance: which tier answered, which writer stored the
+verdict, at what logical stamp.
 """
 
 from collections import OrderedDict
@@ -65,7 +66,8 @@ class MemoryLRU:
 
 
 class TieredVerdictStore:
-    """The CAS front door: memory -> local -> remote verdict tiers."""
+    """The CAS front door: memory over one persistent verdict tier
+    (the remote when given, else the local)."""
 
     def __init__(self,
                  local: Optional[BucketStore] = None,
@@ -76,22 +78,22 @@ class TieredVerdictStore:
                  stats: Optional[CacheStats] = None):
         self.stats = stats if stats is not None else CacheStats()
         self.memory = MemoryLRU(memory_entries)
-        self.local = local
-        self.remote = remote
+        #: The one persistent tier and the name its hits count under.
+        self.persistent = remote if remote is not None else local
+        self.persistent_name = "remote" if remote is not None else "local"
         self.writer_id = writer_id
         self.chaos = chaos
-        for tier in (local, remote):
-            if tier is not None:
-                tier.stats = self.stats
+        if self.persistent is not None:
+            self.persistent.stats = self.stats
         #: Logical clock: advanced past every stamp this store observes,
         #: so fresh stores order after everything already seen.
         self._clock = 0
         self._pending: Dict[str, Dict[str, Any]] = {}
-        self._dirty_local: set = set()
-        self._dirty_remote: set = set()
+        #: Labels whose pending entry or tombstone the tier lacks.
+        self._dirty: set = set()
         #: label -> highest stamp observed when invalidating; published
-        #: as tombstones so stale entries cannot resurrect from a
-        #: slower tier before the next save.
+        #: as tombstones so a stale entry cannot resurrect from the
+        #: tier before the next save.
         self._tombstones: Dict[str, int] = {}
         #: label -> stamp of the last in-process hit (LRU recency for
         #: compaction) and the last hit's provenance for stats surfaces.
@@ -101,12 +103,9 @@ class TieredVerdictStore:
     # -- helpers ------------------------------------------------------------
 
     def tier_names(self) -> List[str]:
-        names = ["memory"]
-        if self.local is not None:
-            names.append("local")
-        if self.remote is not None:
-            names.append("remote")
-        return names
+        if self.persistent is None:
+            return ["memory"]
+        return ["memory", self.persistent_name]
 
     def _observe(self, stamp: int) -> None:
         if stamp > self._clock:
@@ -130,24 +129,21 @@ class TieredVerdictStore:
     def _invalidate(self, label: str, entry: Dict[str, Any]) -> None:
         """Drop *label* everywhere: the artifact moved under it."""
         stamp = entry.get("stored_at", 0)
-        if label in self._pending:
-            # A pending entry has not reached every tier yet, so its
-            # stamp says nothing about the entry a tier still holds
+        if label in self._pending and self.persistent is not None:
+            # A pending entry may not have reached the tier, so its
+            # stamp says nothing about the entry the tier still holds
             # (which may carry a higher stamp from an earlier process).
-            # Delete against the stamps the tiers hold.
-            for tier in (self.local, self.remote):
-                held = tier.get(label) if tier is not None else None
-                if held is not None:
-                    stamp = max(stamp, held.get("stored_at", 0))
+            # Delete against the stamp the tier holds.
+            held = self.persistent.get(label)
+            if held is not None:
+                stamp = max(stamp, held.get("stored_at", 0))
         self._observe(stamp)
         self.memory.delete(label)
         self._pending.pop(label, None)
         self._recency.pop(label, None)
         self._tombstones[label] = max(self._tombstones.get(label, 0), stamp)
-        if self.local is not None:
-            self._dirty_local.add(label)
-        if self.remote is not None:
-            self._dirty_remote.add(label)
+        if self.persistent is not None:
+            self._dirty.add(label)
         self.stats.invalidations += 1
         self.stats.misses += 1
 
@@ -157,9 +153,8 @@ class TieredVerdictStore:
         """The stored verdict for *label* at content address *fp*.
 
         The first tier holding the label decides: hit on a matching
-        fingerprint (the entry is promoted into the faster tiers),
-        invalidation + miss on a moved one, miss when no tier knows
-        the label.
+        fingerprint (a tier hit is kept in memory), invalidation + miss
+        on a moved one, miss when no tier knows the label.
         """
         entry = self.memory.get(label)
         if entry is not None:
@@ -167,39 +162,25 @@ class TieredVerdictStore:
                 return self._hit(label, entry, "memory")
             self._invalidate(label, entry)
             return None
-        if label in self._tombstones:
-            # Invalidated but not yet flushed: the slower tiers still
-            # hold the stale entry; do not resurrect it.
+        if label in self._tombstones or self.persistent is None:
+            # A tombstone not yet flushed: the tier still holds the
+            # stale entry; do not resurrect it.
             self.stats.misses += 1
             return None
-        if self.local is not None:
-            entry = self.local.get(label)
-            if entry is not None:
-                if entry["fingerprint"] == fp:
-                    self.memory.put(label, entry)
-                    return self._hit(label, entry, "local")
-                self._invalidate(label, entry)
-                return None
-        if self.remote is not None:
-            entry = self.remote.get(label)
-            if entry is not None and self.chaos is not None \
-                    and self.chaos.decide("cache.stale_read",
-                                          f"{label}:{fp}"):
-                self.stats.stale_reads += 1
-                entry = None
-            if entry is not None:
-                if entry["fingerprint"] == fp:
-                    self.memory.put(label, entry)
-                    if self.local is not None:
-                        # Write-back promotion: provenance (stamp and
-                        # original writer) rides along unchanged.
-                        self._pending[label] = entry
-                        self._dirty_local.add(label)
-                    return self._hit(label, entry, "remote")
-                self._invalidate(label, entry)
-                return None
-        self.stats.misses += 1
-        return None
+        entry = self.persistent.get(label)
+        if entry is not None and self.chaos is not None \
+                and self.persistent_name == "remote" \
+                and self.chaos.decide("cache.stale_read", f"{label}:{fp}"):
+            self.stats.stale_reads += 1
+            entry = None
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        if entry["fingerprint"] != fp:
+            self._invalidate(label, entry)
+            return None
+        self.memory.put(label, entry)
+        return self._hit(label, entry, self.persistent_name)
 
     def store(self, label: str, fp: str, verdict: Dict[str, Any]) -> None:
         """Record *verdict* for *label* at content address *fp*."""
@@ -214,52 +195,39 @@ class TieredVerdictStore:
         self._pending[label] = entry
         self._recency[label] = self._clock
         self._tombstones.pop(label, None)
-        if self.local is not None:
-            self._dirty_local.add(label)
-        if self.remote is not None:
-            self._dirty_remote.add(label)
+        if self.persistent is not None:
+            self._dirty.add(label)
         self.stats.stores += 1
 
     def save(self) -> bool:
-        """Flush pending writes/tombstones tier by tier, one
-        :meth:`~BucketStore.put_many` pass per tier for its fresh
-        stores, promotions and tombstones together; True if any label
-        reached a tier.  Partial progress is durable: every
-        bucket is attempted, only the labels whose bucket flushed
-        leave the dirty set, and the remainder stays pending for the
-        next save — one timed-out lock never holds the rest hostage."""
+        """Flush pending stores and tombstones to the persistent tier
+        in one :meth:`~BucketStore.put_many` pass; True if any label
+        reached it.  Partial progress is durable: every bucket is
+        attempted, only the labels whose bucket flushed leave the
+        dirty set, and the remainder stays pending for the next save —
+        one timed-out lock never holds the rest hostage."""
         wrote = False
-        for tier, dirty in ((self.local, self._dirty_local),
-                            (self.remote, self._dirty_remote)):
-            if tier is None or not dirty:
-                continue
-            fresh_updates: Dict[str, Dict[str, Any]] = {}
-            promotions: Dict[str, Dict[str, Any]] = {}
+        if self._dirty:
+            updates: Dict[str, Dict[str, Any]] = {}
             deletions: Dict[str, int] = {}
-            for label in sorted(dirty):
+            for label in sorted(self._dirty):
                 if label in self._pending:
-                    entry = self._pending[label]
-                    if entry.get("writer_id") == self.writer_id:
-                        fresh_updates[label] = entry
-                    else:
-                        promotions[label] = entry
+                    updates[label] = self._pending[label]
                 elif label in self._tombstones:
                     deletions[label] = self._tombstones[label]
-            done = tier.put_many(fresh_updates, deletions=deletions,
-                                 promotions=promotions)
-            for label in done & set(fresh_updates):
+            done = self.persistent.put_many(updates, deletions=deletions)
+            for label in done & set(updates):
                 # put_many assigned the final last-writer-wins stamp
                 # in place; keep the clock ahead of it.
-                self._observe(fresh_updates[label].get("stored_at", 0))
-            dirty.difference_update(done)
-            if done:
-                wrote = True
-            if not dirty and tier.max_entries is not None:
+                self._observe(updates[label].get("stored_at", 0))
+            self._dirty.difference_update(done)
+            wrote = bool(done)
+            if not self._dirty and self.persistent.max_entries is not None:
                 try:
-                    tier.compact(recency=self._recency)
+                    self.persistent.compact(recency=self._recency)
                 except CacheLockTimeout:
                     pass      # eviction is advisory; retried next save
-        if not self._dirty_local and not self._dirty_remote:
+        if not self._dirty:
             self._pending.clear()
             self._tombstones.clear()
         return wrote
@@ -268,10 +236,8 @@ class TieredVerdictStore:
 
     def reachable_labels(self) -> List[str]:
         labels = set(self.memory.labels()) | set(self._pending)
-        if self.local is not None:
-            labels.update(self.local.labels())
-        if self.remote is not None:
-            labels.update(self.remote.labels())
+        if self.persistent is not None:
+            labels.update(self.persistent.labels())
         labels.difference_update(self._tombstones)
         return sorted(labels)
 
@@ -279,9 +245,9 @@ class TieredVerdictStore:
         return len(self.reachable_labels())
 
     def stats_dict(self) -> Dict[str, int]:
-        """The counters only: ``len(self)`` reads every bucket of every
-        tier, work that grows with the fleet, so callers that want the
-        entry count ask for it once."""
+        """The counters only: ``len(self)`` reads every bucket of the
+        persistent tier, work that grows with the fleet, so callers
+        that want the entry count ask for it once."""
         return self.stats.as_dict()
 
     def provenance_dict(self) -> Dict[str, Any]:

@@ -1,12 +1,12 @@
 """CI-fleet simulator: N concurrent pipeline runs, one shared cache.
 
 The distributed cache only earns its complexity if a *fleet* of
-concurrent CI runs — each with its own local tier, all sharing one
-remote — actually converges on verdict reuse.  This module measures
-exactly that: an optional cold seeding run populates the shared
-remote, then ``runs`` concurrent pipeline runs start behind a barrier,
-each against a fresh local cache root plus the common remote, and the
-report aggregates the fleet's warm-hit rate and per-run latency tail.
+concurrent CI runs — each with a cold memory tier, all persisting to
+one shared remote — actually converges on verdict reuse.  This module
+measures exactly that: an optional cold seeding run populates the
+shared remote, then ``runs`` concurrent pipeline runs start behind a
+barrier, each as a fresh cache over the common remote, and the report
+aggregates the fleet's warm-hit rate and per-run latency tail.
 
 Two execution modes:
 
@@ -14,7 +14,7 @@ Two execution modes:
   orchestrator and :class:`~repro.prevention.VerificationCache`
   in-process; writer isolation comes from per-run cache instances.
 * **process** — each run shells out to ``repro pipeline --json`` with
-  ``--cache``/``--shared-cache``, so the multi-writer story crosses
+  ``--shared-cache``, so the multi-writer story crosses
   real process boundaries (the bucket locks are file locks for
   exactly this).
 
@@ -140,8 +140,7 @@ def _pipeline_run(cache: VerificationCache, tasks=None,
                     verdicts=verdicts)
 
 
-def _subprocess_run(run_id: str, local_dir: Path, shared_dir: Path,
-                    jobs: int) -> FleetRun:
+def _subprocess_run(run_id: str, shared_dir: Path, jobs: int) -> FleetRun:
     """One pipeline run as a real child process via the CLI."""
     import repro
 
@@ -152,8 +151,8 @@ def _subprocess_run(run_id: str, local_dir: Path, shared_dir: Path,
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "pipeline",
-         "--cache", str(local_dir), "--shared-cache", str(shared_dir),
-         "--jobs", str(jobs), "--json"],
+         "--shared-cache", str(shared_dir), "--jobs", str(jobs),
+         "--json"],
         capture_output=True, text=True, env=env)
     seconds = time.perf_counter() - started
     try:
@@ -179,18 +178,18 @@ def simulate_fleet(runs: int = 4,
                    seed_cold: bool = True) -> FleetReport:
     """Run a CI fleet against one shared remote cache.
 
-    *workdir* hosts the per-run local cache roots (and the shared
-    remote, when *shared_dir* is not given).  *tasks* defaults to the
+    *workdir* (default: a fresh temp directory) hosts the shared
+    remote when *shared_dir* is not given.  *tasks* defaults to the
     bundled verification corpus; thread mode builds a fresh task list
     per run via the callable's re-invocation when *tasks* is callable.
     """
-    import tempfile
+    if shared_dir is None:
+        if workdir is None:
+            import tempfile
 
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="repro-fleet-")
-    workdir = Path(workdir)
-    shared = Path(shared_dir) if shared_dir is not None \
-        else workdir / "shared"
+            workdir = tempfile.mkdtemp(prefix="repro-fleet-")
+        shared_dir = Path(workdir) / "shared"
+    shared = Path(shared_dir)
     if mode not in ("thread", "process"):
         raise ValueError(f"unknown fleet mode {mode!r}")
 
@@ -199,7 +198,7 @@ def simulate_fleet(runs: int = 4,
 
     cold = None
     if seed_cold:
-        seed_cache = VerificationCache(workdir / "seed", shared=shared)
+        seed_cache = VerificationCache(None, shared=shared)
         cold = _pipeline_run(seed_cache, build_tasks(), jobs)
         cold.run_id = "seed"
 
@@ -207,15 +206,14 @@ def simulate_fleet(runs: int = 4,
     barrier = threading.Barrier(runs)
 
     def thread_body(index: int) -> None:
-        cache = VerificationCache(workdir / f"run{index}", shared=shared)
+        cache = VerificationCache(None, shared=shared)
         local_tasks = build_tasks()
         barrier.wait()
         results[index] = _pipeline_run(cache, local_tasks, jobs)
 
     def process_body(index: int) -> None:
         barrier.wait()
-        results[index] = _subprocess_run(
-            f"run{index}", workdir / f"run{index}", shared, jobs)
+        results[index] = _subprocess_run(f"run{index}", shared, jobs)
 
     body = thread_body if mode == "thread" else process_body
     threads = [threading.Thread(target=body, args=(index,),

@@ -6,7 +6,8 @@ records back into the service's existing vocabulary:
 * DETECTION -> :meth:`IncidentPipeline.handle` (repairs run here, on
   the merge thread, with repair-echo suppression armed exactly as on
   a thread-backend shard worker) + the detection-lag histogram;
-* PROGRESS -> ``soc.shard.N.processed`` and friends;
+* PROGRESS -> ``soc.shard.N.processed``, ``soc.monitors.stepped``
+  and friends;
 * STRIKE / DEAD_LETTER -> the parent's per-shard strike ledgers (the
   restart carryover) and the shared
   :class:`~repro.soc.quarantine.DeadLetterQueue`;
@@ -37,6 +38,9 @@ class ShardMergeState:
         self.flushed_token = 0
         self.rearmed_gen = 0
         self.bye = False
+        #: The last empty read found the consumer cursor past the
+        #: producer's (see :meth:`MergePlane.pump`).
+        self.overrun = False
         #: (host_id, time, kind_id) -> strikes, for restart manifests.
         self.strikes: Dict[Tuple[int, int, int], int] = {}
         #: monitor_id -> (verdict, obligation id hex).
@@ -74,6 +78,8 @@ class MergePlane:
         self._duplicates = metrics.counter(
             "soc.events.duplicates_suppressed")
         self._session_errors = metrics.counter("soc.session.errors")
+        self._stepped = metrics.counter("soc.monitors.stepped")
+        self._overruns = metrics.counter("soc.merge.cursor_overruns")
         self._processed = [metrics.counter(f"soc.shard.{index}.processed")
                            for index in range(len(rings))]
         self._depth_gauges = [
@@ -118,13 +124,23 @@ class MergePlane:
 
         Thread-safe per shard; callable from the merge thread and from
         the backend's supervisor (pre-restart synchronous fold).
+
+        A negative :meth:`~SpscRing.poll` means the consumer head is
+        past the producer tail: the slots from the head on hold records
+        already handled, so the pump reads nothing and counts the
+        overrun in ``soc.merge.cursor_overruns`` (once until the ring
+        next reads empty) instead of replaying them.
         """
         ring = self.rings[index]
         state = self.shards[index]
         with self.locks[index]:
             handled = 0
             while handled < limit:
-                if not ring.poll():
+                available = ring.poll()
+                if available <= 0:
+                    if available < 0 and not state.overrun:
+                        self._overruns.inc()
+                    state.overrun = available < 0
                     break
                 offset = ring.peek_offset()
                 tag = ring.buf[offset]
@@ -135,6 +151,8 @@ class MergePlane:
                         MergeCodec.unpack_progress(ring.buf, offset)
                     if processed:
                         self._processed[index].inc(processed)
+                    if stepped:
+                        self._stepped.inc(stepped)
                     if duplicates:
                         self._duplicates.inc(duplicates)
                     if errors:

@@ -178,6 +178,9 @@ class SocService:
         self._terminated = False
         self._stopped_event = threading.Event()
         self._lock = threading.Lock()
+        self._steps_lock = threading.Lock()
+        #: Session steps already folded into ``soc.monitors.stepped``.
+        self._steps_folded = 0
 
     # -- construction helpers ------------------------------------------------------
 
@@ -511,7 +514,22 @@ class SocService:
         return verdicts
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
+        if self._proc is None:
+            self._fold_monitor_steps()
         return self.metrics.snapshot()
+
+    def _fold_monitor_steps(self) -> None:
+        """Bring ``soc.monitors.stepped`` up to the sessions' own step
+        counts.  Thread workers add nothing per event for it; the
+        process backend's merge plane folds each PROGRESS record's
+        count into the same counter instead."""
+        with self._steps_lock:
+            total = sum(session.monitors_stepped
+                        for session in self.sessions.values())
+            if total > self._steps_folded:
+                self.metrics.counter("soc.monitors.stepped").inc(
+                    total - self._steps_folded)
+                self._steps_folded = total
 
 
 def arm_soc(hosts: Iterable[SimulatedHost], catalog: StigCatalog,

@@ -368,7 +368,7 @@ class TestReport:
 
 
 class TestCacheTiers:
-    def test_shared_cache_warms_a_fresh_local_tier(self, tmp_path):
+    def test_shared_cache_warms_a_fresh_machine(self, tmp_path):
         import json
 
         shared = str(tmp_path / "shared")
@@ -378,9 +378,10 @@ class TestCacheTiers:
         assert code == 0
         cold = json.loads(output)
         assert cold["cache"]["misses"] > 0
-        assert cold["cache_tiers"] == ["memory", "local", "remote"]
+        assert cold["cache_tiers"] == ["memory", "remote"]
+        assert not (tmp_path / "ci-run-1").exists()
 
-        # A *different* machine (fresh local tier) re-runs: every
+        # A *different* machine (fresh process) re-runs: every
         # verdict comes off the shared remote, zero model-checking.
         code, output = run_cli(
             "pipeline", "--profile", "ubuntu-default", "--json",
@@ -389,6 +390,26 @@ class TestCacheTiers:
         warm = json.loads(output)["cache"]
         assert warm["misses"] == 0
         assert warm["remote_hits"] == cold["cache"]["misses"]
+
+    def test_shared_only_run_makes_no_temp_directory(self, tmp_path,
+                                                     monkeypatch):
+        import json
+        import tempfile
+
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def counting_mkdtemp(*args, **kwargs):
+            made.append(args)
+            return mkdtemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", counting_mkdtemp)
+        code, output = run_cli(
+            "pipeline", "--profile", "ubuntu-default", "--json",
+            "--shared-cache", str(tmp_path / "shared"))
+        assert code == 0
+        assert json.loads(output)["cache_tiers"] == ["memory", "remote"]
+        assert made == []
 
     def test_memory_tier_needs_no_directories(self):
         import json

@@ -1,11 +1,12 @@
 """Property suite for the tiered CAS verification cache.
 
 The load-bearing contract: for any sequence of lookup/store/save/
-reopen operations, the tiered store (memory LRU -> local buckets ->
-optional shared remote) is *observably identical* to the flat-era
-single-file JSON cache — byte-identical verdicts on every lookup and
-identical hit/miss/invalidation/store accounting — because the first
-tier that knows a label decides the outcome with flat semantics.
+reopen operations, the tiered store (memory LRU -> one persistent
+tier: local buckets, or a shared remote) is *observably identical* to
+the flat-era single-file JSON cache — byte-identical verdicts on every
+lookup and identical hit/miss/invalidation/store accounting — because
+the first tier that knows a label decides the outcome with flat
+semantics.
 Hypothesis drives arbitrary label/fingerprint/verdict sequences
 against a reference model implementing the flat cache's exact
 behavior (including its persistence quirks: unsaved stores are lost
@@ -263,7 +264,7 @@ class TestDirectories:
             cache.store(f"next-{index}", f"fp{index}", {"satisfied": False})
         cache.save()
         assert calls == []
-        assert len(BucketStore(tmp_path / "local" / "cas")) == 9
+        assert not (tmp_path / "local").exists()
         assert len(BucketStore(tmp_path / "shared" / "cas")) == 9
 
     def test_store_saves_after_its_root_was_removed(self, tmp_path):
@@ -343,17 +344,59 @@ class TestProvenance:
         reader.lookup("lab", "fp")
         assert reader.provenance_dict()["last_hit"]["tier"] == "memory"
 
-    def test_remote_hit_writes_back_to_local_tier(self, tmp_path):
+    def test_remote_hit_leaves_the_local_tier_untouched(self, tmp_path):
         writer = VerificationCache(tmp_path / "a", shared=tmp_path / "s")
         writer.store("lab", "fp", {"satisfied": True})
         writer.save()
         reader = VerificationCache(tmp_path / "b", shared=tmp_path / "s")
         reader.lookup("lab", "fp")
         reader.save()
-        # A later lifetime without the remote still hits locally.
+        # No write-back: a later lifetime without the remote misses.
         local_only = VerificationCache(tmp_path / "b")
-        assert local_only.lookup("lab", "fp") == {"satisfied": True}
-        assert local_only.stats_dict()["local_hits"] == 1
+        assert local_only.lookup("lab", "fp") is None
+        assert local_only.stats_dict()["local_hits"] == 0
+        assert not (tmp_path / "b").exists()
+
+
+class TestOneTier:
+    """Memory stacks over exactly one persistent tier: the remote when
+    there is one, else the local."""
+
+    def test_local_root_stays_absent_beside_a_remote(self, tmp_path):
+        def open_store(writer_id):
+            return TieredVerdictStore(
+                local=BucketStore(tmp_path / "local", tier="local"),
+                remote=BucketStore(tmp_path / "remote", tier="remote"),
+                writer_id=writer_id)
+
+        first = open_store("first")
+        assert first.tier_names() == ["memory", "remote"]
+        for label in ("kept", "moved", "dropped"):
+            first.store(label, "fp-one", {"label": label})
+        assert first.save()
+        second = open_store("second")
+        assert second.lookup("kept", "fp-one") == {"label": "kept"}
+        assert second.lookup("moved", "fp-two") is None
+        assert second.lookup("fresh", "fp-one") is None
+        second.store("fresh", "fp-one", {"label": "fresh"})
+        second.store("dropped", "fp-one", {"label": "dropped"})
+        assert second.lookup("dropped", "fp-two") is None
+        assert second.save()
+        stats = second.stats_dict()
+        assert (stats["remote_hits"], stats["local_hits"]) == (1, 0)
+        assert stats["invalidations"] == 2
+        assert second.reachable_labels() == ["fresh", "kept"]
+        assert not (tmp_path / "local").exists()
+
+    def test_local_only_store_persists_across_reopen(self, tmp_path):
+        store = TieredVerdictStore(local=BucketStore(tmp_path))
+        assert store.tier_names() == ["memory", "local"]
+        store.store("lab", "fp", {"satisfied": True})
+        assert store.save()
+        reopened = TieredVerdictStore(local=BucketStore(tmp_path))
+        assert reopened.lookup("lab", "fp") == {"satisfied": True}
+        assert reopened.stats_dict()["local_hits"] == 1
+        assert reopened.last_hit["tier"] == "local"
 
 
 class TestPendingStoreInvalidation:

@@ -262,6 +262,46 @@ class TestSpscRing:
             ring.destroy()
 
 
+class TestMergeOverrun:
+    """A consumer head past the producer tail must not replay the
+    stale slots below it as records."""
+
+    def test_head_past_tail_pumps_nothing(self):
+        from types import SimpleNamespace
+
+        from repro.soc.metrics import MetricsRegistry
+        from repro.soc.procplane.merge import MergePlane
+
+        handled = []
+        service = SimpleNamespace(
+            metrics=MetricsRegistry(),
+            hosts={"h0": SimpleNamespace(events=SimpleNamespace(clock=9))},
+            pipeline=SimpleNamespace(
+                handle=lambda host, detection, bindings:
+                handled.append(detection)))
+        ring = SpscRing(4, slot_size(1), create=True)
+        try:
+            ring.sync_consumer()
+            plane = MergePlane(service, [ring], ["h0"], ["k"], ["h0"],
+                               ["r"], [[]])
+            offset = ring.reserve()
+            MergeCodec.pack_detection(ring.buf, offset, 0, 0, 0, 3)
+            ring.publish()
+            assert plane.pump(0) == 1
+            assert len(handled) == 1
+            # Head lands on slot 0 again, which still holds the
+            # detection already handled.
+            ring.advance(3)
+            assert ring.poll() < 0
+            assert plane.pump(0) == 0
+            assert plane.pump(0) == 0
+            assert len(handled) == 1
+            counters = service.metrics.snapshot()["counters"]
+            assert counters["soc.merge.cursor_overruns"] == 1
+        finally:
+            ring.destroy()
+
+
 # -- backend knob -------------------------------------------------------------
 
 
@@ -383,6 +423,18 @@ class TestEquivalence:
             if key.startswith("soc.shard.") and key.endswith(".processed"))
         assert shards_processed(proc_counters) \
             == shards_processed(thread_counters)
+
+
+    def test_monitor_step_counts_match_across_backends(self):
+        _, _, _, thread_service = run_scenario("thread", rounds=1)
+        _, _, _, proc_service = run_scenario("process", rounds=1)
+        stepped = [service.metrics_snapshot()["counters"]
+                   .get("soc.monitors.stepped", 0)
+                   for service in (thread_service, proc_service)]
+        assert stepped[0] > 0
+        assert stepped[1] == stepped[0]
+        assert stepped[0] == sum(session.monitors_stepped for session
+                                 in thread_service.sessions.values())
 
 
 class TestRolledBackSweep:
