@@ -1,10 +1,11 @@
 """Machine-readable benchmark output.
 
-Headline benches dump a small JSON document at the repository root
-(``BENCH_<name>.json``) so CI — and the next session — can diff
-performance numbers without scraping pytest output.  Every document is
-stamped with the git commit it was produced from, so the perf
-trajectory stays traceable across PRs.
+Headline benches dump a small JSON document under the git-ignored
+``benchmarks/out/`` (``BENCH_<name>.json``) so CI can upload and diff
+performance numbers without scraping pytest output, and a bench run
+leaves the tracked tree untouched.  Every document is stamped with the
+git commit it was produced from, so the perf trajectory stays
+traceable across commits.
 """
 
 import json
@@ -15,6 +16,7 @@ from pathlib import Path
 from typing import Dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+OUT_DIR = REPO_ROOT / "benchmarks" / "out"
 
 _COMMIT = None
 
@@ -34,7 +36,8 @@ def git_commit() -> str:
 
 
 def write_bench_json(name: str, payload: Dict[str, object]) -> Path:
-    """Write ``BENCH_<name>.json`` at the repo root and return its path."""
+    """Write ``BENCH_<name>.json`` under :data:`OUT_DIR` and return its
+    path."""
     document = {
         "bench": name,
         "commit": git_commit(),
@@ -42,7 +45,8 @@ def write_bench_json(name: str, payload: Dict[str, object]) -> Path:
         "machine": platform.machine(),
     }
     document.update(payload)
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    path = OUT_DIR / f"BENCH_{name}.json"
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -57,7 +61,7 @@ def merge_bench_json(name: str, section: str,
     sibling sections.  The header stamps (commit, python, machine) are
     refreshed; everything else is preserved.
     """
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    path = OUT_DIR / f"BENCH_{name}.json"
     try:
         document = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
@@ -69,5 +73,6 @@ def merge_bench_json(name: str, section: str,
         "machine": platform.machine(),
     })
     document[section] = payload
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path

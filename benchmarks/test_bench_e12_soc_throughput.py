@@ -19,7 +19,7 @@ traffic around every drift, exactly as an operations event stream
 looks — and measures end-to-end throughput (scenario events per
 second, emission through repair) and detection lag.  Both backends
 are swept over shard counts {1, 2, 4, 8}.  Headline numbers land in
-``BENCH_soc.json`` at the repo root, stamped with the core count.
+``benchmarks/out/BENCH_soc.json``, stamped with the core count.
 
 Expected shape: routing makes the SOC faster than the serial loop even
 at 1 shard on noise-heavy streams.  The process backend's throughput

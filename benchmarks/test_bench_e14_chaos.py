@@ -14,7 +14,7 @@ seeded plan — and measures what degradation costs:
 * **degradation work** — dead letters, worker restarts, reconcile
   repairs: how much the ladder had to absorb.
 
-Headline numbers land in ``BENCH_chaos.json`` at the repo root.
+Headline numbers land in ``benchmarks/out/BENCH_chaos.json``.
 
 Expected shape: coverage stays at 100% at every rate (conservation +
 reconcile guarantee it), while throughput decays gracefully — the 20%

@@ -23,7 +23,8 @@ Three speedup gates, all with verdict-equality checks across modes:
    zone graph; the fast engine's active-clock reduction must give the
    same verdicts while exploring no more states.
 
-Results land in ``BENCH_prevention.json`` stamped with the git commit.
+Results land in ``benchmarks/out/BENCH_prevention.json`` stamped with
+the git commit.
 """
 
 import time
@@ -31,7 +32,8 @@ import time
 from repro.core.pipeline import Job, Pipeline, PipelineContext, Stage
 from repro.core.gates import VerificationGate, _verdict_to_dict
 from repro.core.orchestrator import VeriDevOpsOrchestrator
-from repro.prevention import VerificationCache, bundled_verification_tasks
+from repro.prevention import (
+    BucketStore, TieredVerdictStore, bundled_verification_tasks)
 from repro.prevention.tasks import _token_ring, _watchdog
 from repro.ta.checker import ZoneGraphChecker
 from repro.ta.query import parse_query
@@ -103,7 +105,7 @@ def _verdict_table(run):
 def test_bench_e15_warm_cache_vs_cold(tmp_path):
     orchestrator = VeriDevOpsOrchestrator()
     tasks = heavy_verification_tasks()
-    cache = VerificationCache(tmp_path)
+    cache = TieredVerdictStore(local=BucketStore(tmp_path / "cas"))
 
     started = time.perf_counter()
     cold_run = orchestrator.run_prevention(

@@ -16,7 +16,9 @@ slots into a real CI job the way the paper intends.
 """
 
 import argparse
+import os
 import sys
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.environment import (
@@ -313,35 +315,26 @@ def cmd_soc(args, out) -> int:
 
 
 def _build_cache(args):
-    """The verification cache the pipeline flags describe: a memory
-    tier over one persistent tier.
+    """The verdict store the pipeline flags describe: a memory tier
+    over one persistent tier.
 
     ``--shared-cache`` makes the fleet-shared remote that tier, else
-    ``--cache`` makes the local bucket store it; ``--cache-tier``
-    picks explicitly (``memory`` runs cacheless-but-memoized,
-    ``local`` ignores a remote, ``shared`` requires one).  With a
-    remote, no local directory is read, written or created.  No
-    flags, no cache.
+    ``--cache`` makes the local bucket store it; with a remote, no
+    local directory is read, written or created.  No flags, no cache.
     """
-    tier = getattr(args, "cache_tier", None)
     shared = getattr(args, "shared_cache", None)
-    if not (args.cache or shared or tier):
+    if not (args.cache or shared):
         return None
-    from repro.prevention import VerificationCache
+    from repro.prevention import BucketStore, TieredVerdictStore
 
-    if tier == "shared" and not shared:
-        raise SystemExit("repro pipeline: --cache-tier shared needs "
-                         "--shared-cache DIR")
-    if tier in (None, "local", "shared") and not args.cache \
-            and not shared:
-        raise SystemExit("repro pipeline: --cache-tier needs --cache "
-                         "or --shared-cache")
-    if tier == "local" and not args.cache:
-        raise SystemExit("repro pipeline: --cache-tier local needs "
-                         "--cache DIR")
-    if tier == "memory":
-        return VerificationCache(None, tier="memory")
-    return VerificationCache(args.cache, shared=shared, tier=tier)
+    writer_id = f"w{os.getpid()}"
+    if shared:
+        return TieredVerdictStore(
+            remote=BucketStore(Path(shared) / "cas", tier="remote"),
+            writer_id=writer_id)
+    return TieredVerdictStore(
+        local=BucketStore(Path(args.cache) / "cas", tier="local"),
+        writer_id=writer_id)
 
 
 def cmd_prevention(args, out) -> int:
@@ -388,9 +381,9 @@ def cmd_pipeline(args, out) -> int:
     through the content-addressed verdict cache; ``--shared-cache DIR``
     persists verdicts to the directory-based remote tier a CI fleet
     shares instead (hits are attributed per tier in the stats);
-    ``--cache-tier`` picks the tier; ``--json`` emits the
-    machine-readable run summary (cache stats included) on stdout with
-    status lines on stderr, like ``repro soc --json``.
+    ``--json`` emits the machine-readable run summary (cache stats
+    included) on stdout with status lines on stderr, like ``repro soc
+    --json``.
     """
     from repro.core import VeriDevOpsOrchestrator
     from repro.prevention import bundled_verification_tasks
@@ -972,19 +965,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="parallel workers for stage jobs and "
                                "verification queries (default 1: serial)")
     pipeline.add_argument("--cache", metavar="DIR", default=None,
-                          help="local content-addressed verification "
-                               "cache directory; re-runs only re-verify "
-                               "changed artifacts (not used when "
-                               "--shared-cache is given)")
+                          help="local verdict store directory (memory "
+                               "over the bucket store in DIR/cas); "
+                               "re-runs only re-verify changed "
+                               "artifacts (ignored when --shared-cache "
+                               "is given)")
     pipeline.add_argument("--shared-cache", metavar="DIR", default=None,
                           help="shared remote cache tier: a directory "
                                "of sharded verdict buckets concurrent "
                                "CI runs read through and write back to")
-    pipeline.add_argument("--cache-tier", default=None,
-                          choices=("memory", "local", "shared"),
-                          help="the one tier verdicts persist to "
-                               "(default: shared with --shared-cache, "
-                               "else local with --cache)")
     pipeline.add_argument("--json", action="store_true",
                           help="emit the machine-readable JSON run "
                                "summary (cache stats included) instead "

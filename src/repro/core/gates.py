@@ -234,7 +234,6 @@ class VerificationGate(SecurityGate):
     to VERIFIED when the gate passes.
 
     With a verdict store attached (``cache``: a
-    :class:`~repro.prevention.VerificationCache` or a bare
     :class:`~repro.prevention.cas.tiers.TieredVerdictStore`), each task
     is content-addressed first: a fingerprint hit returns the stored
     verdict without touching the model checker, and only the misses

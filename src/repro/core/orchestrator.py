@@ -191,7 +191,7 @@ class VeriDevOpsOrchestrator:
         ``max_workers`` parallelizes stage jobs (wave-scheduled on the
         keys they declare) and the verification gate's per-requirement
         queries; ``cache`` (a :class:`~repro.prevention.
-        VerificationCache`) makes re-runs incremental — only tasks
+        TieredVerdictStore`) makes re-runs incremental — only tasks
         whose fingerprints changed are re-checked.
         """
         def load_requirements(context: PipelineContext) -> str:
@@ -254,6 +254,11 @@ class VeriDevOpsOrchestrator:
         re-orders through the risk-aware wave planner (high-risk jobs
         as early as their conflicts allow) and the verification gate
         drains its pending queries highest-risk-first.
+
+        A *cache* (:class:`repro.prevention.TieredVerdictStore` over
+        one bucket store) makes the run incremental: the verification
+        gate re-checks only tasks whose fingerprints changed and saves
+        the fresh verdicts back before the run ends.
         """
         pipeline = self.build_pipeline(
             verification_tasks=verification_tasks,

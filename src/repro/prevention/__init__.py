@@ -5,19 +5,18 @@ the "security tooling slows the pipeline" friction DevSecOps surveys
 report.  This package makes prevention incremental: every verification
 input (network of timed automata, query, requirement record) gets a
 content address — a blake2b fingerprint over a canonical serialization
-— and :class:`VerificationCache` persists verdicts keyed by task label
-so a re-run only re-checks tasks whose formal artifacts actually
+— and :class:`TieredVerdictStore` persists verdicts keyed by task
+label so a re-run only re-checks tasks whose formal artifacts actually
 changed.  Mutating any ingested artifact changes its fingerprint and
 invalidates exactly the affected entries.
 
-Since the CAS promotion (:mod:`repro.prevention.cas`) the store is
-tiered — an in-memory LRU over one sharded bucket store, either local
-or a directory-based remote shared by the fleet — so verdicts flow
-between concurrent CI runs instead of being recomputed per process;
+The store (:mod:`repro.prevention.cas`) is an in-memory LRU over one
+sharded :class:`BucketStore` — a directory-based remote shared by the
+fleet when one is given, else a local one — so verdicts flow between
+concurrent CI runs instead of being recomputed per process;
 :func:`simulate_fleet` measures that end to end.
 """
 
-from repro.prevention.cache import CacheStats, VerificationCache
 from repro.prevention.cas import (
     BucketStore,
     CacheLockTimeout,
@@ -34,6 +33,7 @@ from repro.prevention.fingerprint import (
     fingerprint_requirement,
     fingerprint_task,
 )
+from repro.prevention.stats import CacheStats
 from repro.prevention.tasks import bundled_verification_tasks
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "FleetReport",
     "FleetRun",
     "TieredVerdictStore",
-    "VerificationCache",
     "bucket_prefix",
     "bundled_verification_tasks",
     "simulate_fleet",

@@ -6,8 +6,9 @@ remote-cache architecture: sharded multi-writer buckets
 write-back tiers (:mod:`~repro.prevention.cas.tiers`) — an in-memory
 LRU over one persistent store: a directory-based remote shared by a
 whole CI fleet, or a local on-disk store when there is no remote.
-:class:`~repro.prevention.VerificationCache` remains the compat front
-door the verification gate talks to.
+:class:`~repro.prevention.cas.tiers.TieredVerdictStore` is the one
+verdict store: callers build it over one :class:`BucketStore` and hand
+it to the verification gate.
 """
 
 from repro.prevention.cas.store import (

@@ -26,6 +26,11 @@ A lock timeout (real or chaos-injected) leaves the remainder pending
 for the next ``save`` — nothing is lost, nothing torn.  Every hit
 records provenance: which tier answered, which writer stored the
 verdict, at what logical stamp.
+
+A store takes no locks of its own: each caller owns one store per
+thread (the verification gate looks up, stores and saves on its
+calling thread; each fleet run opens its own store).  Writers that
+share a persistent tier meet only under its bucket locks.
 """
 
 from collections import OrderedDict

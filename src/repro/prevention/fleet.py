@@ -11,8 +11,9 @@ aggregates the fleet's warm-hit rate and per-run latency tail.
 Two execution modes:
 
 * **thread** (default) — each run is a thread driving its own
-  orchestrator and :class:`~repro.prevention.VerificationCache`
-  in-process; writer isolation comes from per-run cache instances.
+  orchestrator and :class:`~repro.prevention.cas.tiers.TieredVerdictStore`
+  over the shared remote in-process; writer isolation comes from
+  per-run stores, each with its own writer id (``seed``, ``run{i}``).
 * **process** — each run shells out to ``repro pipeline --json`` with
   ``--shared-cache``, so the multi-writer story crosses
   real process boundaries (the bucket locks are file locks for
@@ -33,7 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.prevention.cache import VerificationCache
+from repro.prevention.cas.store import BucketStore
+from repro.prevention.cas.tiers import TieredVerdictStore
 
 
 @dataclass
@@ -116,7 +118,7 @@ class FleetReport:
         }
 
 
-def _pipeline_run(cache: VerificationCache, tasks=None,
+def _pipeline_run(cache: TieredVerdictStore, tasks=None,
                   jobs: int = 1) -> FleetRun:
     """One in-process prevention run against *cache* (no hosts: the
     verification gate is the load; compliance gates stay trivial)."""
@@ -136,7 +138,8 @@ def _pipeline_run(cache: VerificationCache, tasks=None,
         (label, json.dumps(_verdict_to_dict(result), sort_keys=True))
         for label, result in run.context.get("verification_results", []))
     return FleetRun(run_id=cache.writer_id, seconds=seconds,
-                    passed=run.passed, stats=cache.stats_dict(),
+                    passed=run.passed,
+                    stats=run.context.get("verification_cache_stats"),
                     verdicts=verdicts)
 
 
@@ -196,17 +199,20 @@ def simulate_fleet(runs: int = 4,
     def build_tasks():
         return tasks() if callable(tasks) else tasks
 
+    def remote_store(writer_id: str) -> TieredVerdictStore:
+        return TieredVerdictStore(
+            remote=BucketStore(shared / "cas", tier="remote"),
+            writer_id=writer_id)
+
     cold = None
     if seed_cold:
-        seed_cache = VerificationCache(None, shared=shared)
-        cold = _pipeline_run(seed_cache, build_tasks(), jobs)
-        cold.run_id = "seed"
+        cold = _pipeline_run(remote_store("seed"), build_tasks(), jobs)
 
     results: List[Optional[FleetRun]] = [None] * runs
     barrier = threading.Barrier(runs)
 
     def thread_body(index: int) -> None:
-        cache = VerificationCache(None, shared=shared)
+        cache = remote_store(f"run{index}")
         local_tasks = build_tasks()
         barrier.wait()
         results[index] = _pipeline_run(cache, local_tasks, jobs)

@@ -1,11 +1,13 @@
-"""Shared cache accounting: one counter block per cache lifetime.
+"""Verdict-store accounting: one counter block per
+:class:`~repro.prevention.cas.tiers.TieredVerdictStore` lifetime,
+shared with the bucket store beneath it.
 
 The four classic counters (hits/misses/invalidations/stores) keep the
-flat-cache contract CI leans on; the rest were added with the tiered
-CAS store — per-tier hit attribution, eviction/compaction work, and
-the failure-visibility counters (``corrupt_loads`` for documents that
-failed to parse, ``lock_timeouts`` for bucket flushes that had to be
-retried, ``stale_reads`` for chaos-injected shared-tier misses).
+flat-cache contract CI leans on; the rest cover the tiers — per-tier
+hit attribution, eviction/compaction work, and the failure-visibility
+counters (``corrupt_loads`` for bucket documents that failed to
+parse, ``lock_timeouts`` for bucket flushes that had to be retried,
+``stale_reads`` for chaos-injected shared-tier misses).
 Everything here is numeric by contract: the verification gate folds
 the whole block into its float-valued metrics.
 """
@@ -30,7 +32,6 @@ class CacheStats:
     corrupt_loads: int = 0
     lock_timeouts: int = 0
     stale_reads: int = 0
-    migrated: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {field.name: getattr(self, field.name)

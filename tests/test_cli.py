@@ -189,10 +189,10 @@ class TestPipeline:
     def test_json_cache_entries_count_the_store(self, tmp_path):
         import json
 
-        from repro.prevention import VerificationCache
+        from tests.verdict_store import open_store
 
         shared = tmp_path / "shared"
-        other =VerificationCache(tmp_path / "other", shared=shared)
+        other = open_store(tmp_path / "other", shared=shared)
         other.store("someone-elses-task", "fp", {"satisfied": True})
         other.save()
         code, output = run_cli(
@@ -201,7 +201,7 @@ class TestPipeline:
             "--shared-cache", str(shared))
         assert code == 0
         entries = json.loads(output)["cache"]["entries"]
-        assert entries == len(VerificationCache(
+        assert entries == len(open_store(
             tmp_path / "local", shared=shared))
         assert entries == 7       # six bundled tasks + the other writer's
 
@@ -391,6 +391,18 @@ class TestCacheTiers:
         assert warm["misses"] == 0
         assert warm["remote_hits"] == cold["cache"]["misses"]
 
+    def test_cache_alone_persists_to_the_local_tier(self, tmp_path):
+        import json
+
+        code, output = run_cli(
+            "pipeline", "--profile", "ubuntu-default", "--json",
+            "--cache", str(tmp_path))
+        assert code == 0
+        document = json.loads(output)
+        assert document["cache_tiers"] == ["memory", "local"]
+        assert "migrated" not in document["cache"]
+        assert sorted((tmp_path / "cas" / "buckets").glob("*.json"))
+
     def test_shared_only_run_makes_no_temp_directory(self, tmp_path,
                                                      monkeypatch):
         import json
@@ -410,23 +422,6 @@ class TestCacheTiers:
         assert code == 0
         assert json.loads(output)["cache_tiers"] == ["memory", "remote"]
         assert made == []
-
-    def test_memory_tier_needs_no_directories(self):
-        import json
-
-        code, output = run_cli(
-            "pipeline", "--profile", "ubuntu-default", "--json",
-            "--cache-tier", "memory")
-        assert code == 0
-        assert json.loads(output)["cache_tiers"] == ["memory"]
-
-    def test_shared_tier_requires_shared_cache_flag(self):
-        with pytest.raises(SystemExit, match="--shared-cache"):
-            run_cli("pipeline", "--cache-tier", "shared")
-
-    def test_local_tier_requires_cache_flag(self):
-        with pytest.raises(SystemExit, match="--cache"):
-            run_cli("pipeline", "--cache-tier", "local")
 
 
 class TestPreventionFleet:

@@ -143,7 +143,7 @@ class TestVerificationGate:
         assert repository.get("R-1").status is RequirementStatus.VERIFIED
 
     def test_cache_stats_carry_dedup_accounting(self, tmp_path):
-        from repro.prevention import VerificationCache
+        from tests.verdict_store import open_store
 
         repository = repository_with(
             "The system shall log every privileged operation.",
@@ -155,8 +155,7 @@ class TestVerificationGate:
                 ("safety", self._network(safe=True), "A[] not M.err"),
             ])
         result = VerificationGate(
-            cache=VerificationCache(str(tmp_path / "cache"))).evaluate(
-            context)
+            cache=open_store(tmp_path / "cache")).evaluate(context)
         stats = context.get("verification_cache_stats")
         assert stats["dedup_groups"] == 1
         assert stats["dedup_requirements"] == 2

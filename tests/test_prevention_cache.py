@@ -18,7 +18,6 @@ import pytest
 from repro.core.gates import VerificationGate, _verdict_to_dict
 from repro.core.pipeline import PipelineContext
 from repro.prevention import (
-    VerificationCache,
     bundled_verification_tasks,
     fingerprint_requirement,
     fingerprint_task,
@@ -28,6 +27,7 @@ from repro.ta.automaton import Edge, Location, TimedAutomaton, parse_guard
 from repro.ta.checker import ZoneGraphChecker
 from repro.ta.query import parse_query
 from repro.ta.system import Network
+from tests.verdict_store import open_store
 
 #: The module, not the ``fingerprint`` function the package re-exports.
 fingerprint_module = importlib.import_module("repro.prevention.fingerprint")
@@ -198,7 +198,7 @@ class TestCheckerVersionSalt:
         tasks = bundled_verification_tasks()
         monkeypatch.setattr(fingerprint_module, "CHECKER_VERSION",
                             fingerprint_module.CHECKER_VERSION - 1)
-        VerificationGate(cache=VerificationCache(tmp_path)).evaluate(
+        VerificationGate(cache=open_store(tmp_path)).evaluate(
             PipelineContext(verification_tasks=tasks))
         monkeypatch.undo()
 
@@ -210,7 +210,7 @@ class TestCheckerVersionSalt:
             return original(checker, query)
 
         monkeypatch.setattr(ZoneGraphChecker, "check", counting_check)
-        cache = VerificationCache(tmp_path)
+        cache = open_store(tmp_path)
         context = PipelineContext(verification_tasks=tasks)
         assert VerificationGate(cache=cache).evaluate(context).passed
         stats = cache.stats_dict()
@@ -234,7 +234,7 @@ class TestCachedVerdictsAreByteIdentical:
                 deadline=rng.randrange(2, 9))
             rng.shuffle(tasks)
             tasks = tasks[:rng.randrange(2, len(tasks) + 1)]
-            cache = VerificationCache(tmp_path / f"cache-{trial}")
+            cache = open_store(tmp_path / f"cache-{trial}")
 
             cold = PipelineContext(verification_tasks=tasks)
             VerificationGate(cache=cache).evaluate(cold)
@@ -261,7 +261,7 @@ class TestCachedVerdictsAreByteIdentical:
 
     def test_warm_run_checks_nothing(self, tmp_path, monkeypatch):
         tasks = bundled_verification_tasks()
-        cache = VerificationCache(tmp_path)
+        cache = open_store(tmp_path)
         VerificationGate(cache=cache).evaluate(
             PipelineContext(verification_tasks=tasks))
 
@@ -283,7 +283,7 @@ class TestInvalidationIsExact:
 
     def test_guard_mutation_invalidates_only_affected(self, tmp_path):
         tasks = bundled_verification_tasks(ring_size=3)
-        cache = VerificationCache(tmp_path)
+        cache = open_store(tmp_path)
         self._evaluate(cache, tasks)
         before = cache.stats_dict()
 
@@ -302,7 +302,7 @@ class TestInvalidationIsExact:
     def test_query_mutation_invalidates_one_entry(self, tmp_path):
         tasks = [("only-task", small_network(), "E<> M.on"),
                  ("other-task", small_network(), "E<> M.off")]
-        cache = VerificationCache(tmp_path)
+        cache = open_store(tmp_path)
         self._evaluate(cache, tasks)
         mutated = [("only-task", small_network(), "A[] not deadlock"),
                    ("other-task", small_network(), "E<> M.off")]
@@ -312,7 +312,7 @@ class TestInvalidationIsExact:
         assert stats["hits"] == 1
 
     def test_invalidated_entry_is_replaced(self, tmp_path):
-        cache = VerificationCache(tmp_path)
+        cache = open_store(tmp_path)
         tasks = [("t", small_network(3), "E<> M.on")]
         self._evaluate(cache, tasks)
         self._evaluate(cache, [("t", small_network(4), "E<> M.on")])
@@ -325,13 +325,13 @@ class TestInvalidationIsExact:
 
 class TestPersistence:
     def test_round_trip_through_disk(self, tmp_path):
-        cache = VerificationCache(tmp_path)
+        cache = open_store(tmp_path)
         tasks = bundled_verification_tasks()
         context = PipelineContext(verification_tasks=tasks)
         VerificationGate(cache=cache).evaluate(context)
-        assert cache.path.exists()
+        assert (tmp_path / "cas").exists()
 
-        reloaded = VerificationCache(tmp_path)
+        reloaded = open_store(tmp_path)
         assert len(reloaded) == len(tasks)
         warm = PipelineContext(verification_tasks=tasks)
         VerificationGate(cache=reloaded).evaluate(warm)
@@ -340,27 +340,16 @@ class TestPersistence:
         assert stats["misses"] == 0
 
     def test_warm_save_is_a_no_op(self, tmp_path):
-        cache = VerificationCache(tmp_path)
+        cache = open_store(tmp_path)
         tasks = bundled_verification_tasks()
         VerificationGate(cache=cache).evaluate(
             PipelineContext(verification_tasks=tasks))
         snapshot = {path: path.stat().st_mtime_ns
-                    for path in sorted(cache.path.rglob("*"))
+                    for path in sorted(tmp_path.rglob("*"))
                     if path.is_file()}
         VerificationGate(cache=cache).evaluate(
             PipelineContext(verification_tasks=tasks))
         after = {path: path.stat().st_mtime_ns
-                 for path in sorted(cache.path.rglob("*"))
+                 for path in sorted(tmp_path.rglob("*"))
                  if path.is_file()}
         assert after == snapshot   # not one byte rewritten anywhere
-
-    def test_corrupt_file_is_counted_not_swallowed(self, tmp_path):
-        """A corrupt legacy store must not be silently discarded: the
-        cache starts empty, but the loss is warned about and surfaced
-        in the ``corrupt_loads`` stat so a run summary shows it."""
-        path = tmp_path / "verification-cache.json"
-        path.write_text("{not json")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            cache = VerificationCache(tmp_path)
-        assert len(cache) == 0
-        assert cache.stats_dict()["corrupt_loads"] == 1

@@ -24,9 +24,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.prevention import VerificationCache, bucket_prefix
+from repro.prevention import bucket_prefix
 from repro.prevention.cas.store import MAX_RECORDS, BucketStore
 from repro.prevention.cas.tiers import TieredVerdictStore
+from tests.verdict_store import open_store
 
 LABELS = ["alpha", "beta", "gamma", "delta", "epsilon"]
 FINGERPRINTS = ["fp-one", "fp-two", "fp-three"]
@@ -95,7 +96,7 @@ def run_equivalence(ops, tmp_path, shared):
     """Drive both implementations through *ops*, comparing at each
     observable point."""
     kwargs = {"shared": tmp_path / "remote"} if shared else {}
-    tiered = VerificationCache(tmp_path / "local", **kwargs)
+    tiered = open_store(tmp_path / "local", **kwargs)
     flat = FlatReferenceCache()
     for op in ops:
         if op[0] == "lookup":
@@ -115,7 +116,7 @@ def run_equivalence(ops, tmp_path, shared):
             tiered.save()
             flat.save()
         else:  # reopen: unsaved state is lost in both worlds
-            tiered = VerificationCache(tmp_path / "local", **kwargs)
+            tiered = open_store(tmp_path / "local", **kwargs)
             flat = flat.reopen()
         stats = tiered.stats_dict()
         for key, value in flat.stats.items():
@@ -124,8 +125,8 @@ def run_equivalence(ops, tmp_path, shared):
     # Final reachability agrees too (reopen to drop unsaved state).
     tiered.save()
     flat.save()
-    assert set(VerificationCache(tmp_path / "local", **kwargs).labels()) \
-        == set(flat.reopen().entries)
+    assert set(open_store(tmp_path / "local", **kwargs)
+               .reachable_labels()) == set(flat.reopen().entries)
 
 
 class TestFlatEquivalence:
@@ -255,8 +256,8 @@ class TestDirectories:
         return calls
 
     def test_warm_store_saves_without_mkdir(self, tmp_path, monkeypatch):
-        cache = VerificationCache(tmp_path / "local",
-                                  shared=tmp_path / "shared")
+        cache = open_store(tmp_path / "local",
+                           shared=tmp_path / "shared")
         cache.store("first", "fp1", {"satisfied": True})
         cache.save()
         calls = self.counted_mkdirs(monkeypatch)
@@ -313,7 +314,7 @@ class TestEvictionReachability:
     def test_memory_lru_eviction_falls_through_to_local(self, tmp_path):
         """A memory-tier eviction is invisible: the local tier still
         answers, so the hit accounting only moves between tiers."""
-        cache = VerificationCache(tmp_path, memory_entries=2)
+        cache = open_store(tmp_path, memory_entries=2)
         for index in range(6):
             cache.store(f"label-{index}", f"fp{index}", {"i": index})
         cache.save()
@@ -328,12 +329,12 @@ class TestEvictionReachability:
 
 class TestProvenance:
     def test_hits_carry_tier_writer_and_stamp(self, tmp_path):
-        writer = VerificationCache(tmp_path / "a", shared=tmp_path / "s",
-                                   writer_id="ci-writer-1")
+        writer = open_store(tmp_path / "a", shared=tmp_path / "s",
+                            writer_id="ci-writer-1")
         writer.store("lab", "fp", {"satisfied": True})
         writer.save()
-        reader = VerificationCache(tmp_path / "b", shared=tmp_path / "s",
-                                   writer_id="ci-reader-2")
+        reader = open_store(tmp_path / "b", shared=tmp_path / "s",
+                            writer_id="ci-reader-2")
         assert reader.lookup("lab", "fp") == {"satisfied": True}
         provenance = reader.provenance_dict()
         assert provenance["tier_hits"]["remote"] == 1
@@ -345,17 +346,34 @@ class TestProvenance:
         assert reader.provenance_dict()["last_hit"]["tier"] == "memory"
 
     def test_remote_hit_leaves_the_local_tier_untouched(self, tmp_path):
-        writer = VerificationCache(tmp_path / "a", shared=tmp_path / "s")
+        writer = open_store(tmp_path / "a", shared=tmp_path / "s")
         writer.store("lab", "fp", {"satisfied": True})
         writer.save()
-        reader = VerificationCache(tmp_path / "b", shared=tmp_path / "s")
+        reader = open_store(tmp_path / "b", shared=tmp_path / "s")
         reader.lookup("lab", "fp")
         reader.save()
         # No write-back: a later lifetime without the remote misses.
-        local_only = VerificationCache(tmp_path / "b")
+        local_only = open_store(tmp_path / "b")
         assert local_only.lookup("lab", "fp") is None
         assert local_only.stats_dict()["local_hits"] == 0
         assert not (tmp_path / "b").exists()
+
+
+class TestFleetWriters:
+    def test_thread_runs_report_distinct_writer_ids(self, tmp_path):
+        """Each thread-mode run writes as itself, and its hits name the
+        seeding run that stored them."""
+        from repro.prevention import simulate_fleet
+
+        report = simulate_fleet(runs=3, workdir=tmp_path)
+        assert report.cold.stats["provenance"]["writer_id"] == "seed"
+        assert [run.run_id for run in report.runs] == \
+            ["run0", "run1", "run2"]
+        for run in report.runs:
+            provenance = run.stats["provenance"]
+            assert provenance["writer_id"] == run.run_id
+            assert provenance["last_hit"]["tier"] == "remote"
+            assert provenance["last_hit"]["writer_id"] == "seed"
 
 
 class TestOneTier:
@@ -363,18 +381,18 @@ class TestOneTier:
     there is one, else the local."""
 
     def test_local_root_stays_absent_beside_a_remote(self, tmp_path):
-        def open_store(writer_id):
+        def open_beside(writer_id):
             return TieredVerdictStore(
                 local=BucketStore(tmp_path / "local", tier="local"),
                 remote=BucketStore(tmp_path / "remote", tier="remote"),
                 writer_id=writer_id)
 
-        first = open_store("first")
+        first = open_beside("first")
         assert first.tier_names() == ["memory", "remote"]
         for label in ("kept", "moved", "dropped"):
             first.store(label, "fp-one", {"label": label})
         assert first.save()
-        second = open_store("second")
+        second = open_beside("second")
         assert second.lookup("kept", "fp-one") == {"label": "kept"}
         assert second.lookup("moved", "fp-two") is None
         assert second.lookup("fresh", "fp-one") is None
@@ -404,22 +422,22 @@ class TestPendingStoreInvalidation:
     older on-disk entry come back after save and reopen."""
 
     def _resurrection_sequence(self, tmp_path, **kwargs):
-        cache = VerificationCache(tmp_path / "local", **kwargs)
+        cache = open_store(tmp_path / "local", **kwargs)
         cache.store("alpha", "fp-one", verdict_for("alpha", "fp-one", 1))
         cache.store("delta", "fp-one", verdict_for("delta", "fp-one", 2))
         cache.save()
         # The reopened process stamps its store from a fresh clock,
         # below the stamp the local tier holds for "delta".
-        cache = VerificationCache(tmp_path / "local", **kwargs)
+        cache = open_store(tmp_path / "local", **kwargs)
         cache.store("delta", "fp-one", verdict_for("delta", "fp-one", 3))
         assert cache.lookup("delta", "fp-two") is None
         assert cache.stats_dict()["invalidations"] == 1
         cache.save()
-        return VerificationCache(tmp_path / "local", **kwargs)
+        return open_store(tmp_path / "local", **kwargs)
 
     def test_invalidated_pending_store_stays_deleted(self, tmp_path):
         reopened = self._resurrection_sequence(tmp_path)
-        assert reopened.labels() == ["alpha"]
+        assert reopened.reachable_labels() == ["alpha"]
         assert reopened.lookup("delta", "fp-one") is None
         assert reopened.lookup("alpha", "fp-one") \
             == verdict_for("alpha", "fp-one", 1)
@@ -440,16 +458,15 @@ class TestGateReads:
         from repro.core.gates import VerificationGate
         from repro.core.pipeline import PipelineContext
         from repro.prevention import bundled_verification_tasks
-        from repro.prevention.cas.tiers import TieredVerdictStore
 
         tasks = bundled_verification_tasks()
         shared = tmp_path / "shared"
         # Other fleet members' verdicts crowd the shared tier.
-        crowd = VerificationCache(tmp_path / "crowd", shared=shared)
+        crowd = open_store(tmp_path / "crowd", shared=shared)
         for index in range(40):
             crowd.store(f"other-{index}", "fp", {"satisfied": True})
         crowd.save()
-        VerificationGate(cache=VerificationCache(
+        VerificationGate(cache=open_store(
             tmp_path / "cold", shared=shared)).evaluate(
             PipelineContext(verification_tasks=tasks))
 
@@ -472,7 +489,7 @@ class TestGateReads:
 
         monkeypatch.setattr(BucketStore, "_load", counting_load)
         monkeypatch.setattr(TieredVerdictStore, "save", flagged_save)
-        cache = VerificationCache(tmp_path / "warm", shared=shared)
+        cache = open_store(tmp_path / "warm", shared=shared)
         result = VerificationGate(cache=cache).evaluate(
             PipelineContext(verification_tasks=tasks))
         assert result.passed

@@ -29,8 +29,8 @@ import warnings
 import pytest
 
 from repro.chaos import ChaosController, FaultPlan
-from repro.prevention import VerificationCache
 from repro.prevention.cas.store import BucketStore, bucket_prefix
+from tests.verdict_store import open_store
 
 
 def controller(**rates):
@@ -40,8 +40,8 @@ def controller(**rates):
 class TestLockTimeout:
     def test_timed_out_flush_stays_pending_and_memory_still_answers(
             self, tmp_path):
-        cache = VerificationCache(tmp_path / "c",
-                                  chaos=controller(cache_lock_timeout=1.0))
+        cache = open_store(tmp_path / "c",
+                           chaos=controller(cache_lock_timeout=1.0))
         cache.store("lab", "fp", {"satisfied": True})
         assert cache.save() is False
         assert cache.stats_dict()["lock_timeouts"] >= 1
@@ -53,8 +53,8 @@ class TestLockTimeout:
     def test_repeated_saves_eventually_drain_the_backlog(self, tmp_path):
         """The seam keys on the acquisition *attempt*, so a partial
         injection rate clears on retry instead of wedging forever."""
-        cache = VerificationCache(tmp_path / "c",
-                                  chaos=controller(cache_lock_timeout=0.7))
+        cache = open_store(tmp_path / "c",
+                           chaos=controller(cache_lock_timeout=0.7))
         for index in range(5):
             cache.store(f"label-{index}", f"fp{index}", {"i": index})
         for _ in range(60):
@@ -65,7 +65,7 @@ class TestLockTimeout:
         else:
             pytest.fail("backlog never drained")
         assert cache.stats_dict()["lock_timeouts"] >= 1
-        reopened = VerificationCache(tmp_path / "c")
+        reopened = open_store(tmp_path / "c")
         for index in range(5):
             assert reopened.lookup(f"label-{index}", f"fp{index}") == \
                 {"i": index}
@@ -73,12 +73,12 @@ class TestLockTimeout:
 
 class TestStaleRead:
     def test_stale_remote_read_recomputes_identically(self, tmp_path):
-        writer = VerificationCache(tmp_path / "a", shared=tmp_path / "s")
+        writer = open_store(tmp_path / "a", shared=tmp_path / "s")
         verdict = {"satisfied": True, "states_explored": 41}
         writer.store("lab", "fp", verdict)
         writer.save()
-        reader = VerificationCache(tmp_path / "b", shared=tmp_path / "s",
-                                   chaos=controller(cache_stale_read=1.0))
+        reader = open_store(tmp_path / "b", shared=tmp_path / "s",
+                            chaos=controller(cache_stale_read=1.0))
         # The entry IS in the remote; the seam hides it.  That must
         # surface as an honest miss — not a phantom hit, not an error.
         assert reader.lookup("lab", "fp") is None
@@ -89,13 +89,13 @@ class TestStaleRead:
         # The caller recomputes and stores; bytes match the original.
         reader.store("lab", "fp", dict(verdict))
         reader.save()
-        fresh = VerificationCache(tmp_path / "c", shared=tmp_path / "s")
+        fresh = open_store(tmp_path / "c", shared=tmp_path / "s")
         assert json.dumps(fresh.lookup("lab", "fp"), sort_keys=True) == \
             json.dumps(verdict, sort_keys=True)
 
     def test_stale_read_never_fires_without_a_remote(self, tmp_path):
-        cache = VerificationCache(tmp_path / "c",
-                                  chaos=controller(cache_stale_read=1.0))
+        cache = open_store(tmp_path / "c",
+                           chaos=controller(cache_stale_read=1.0))
         cache.store("lab", "fp", {"satisfied": False})
         cache.save()
         assert cache.lookup("lab", "fp") == {"satisfied": False}
@@ -105,8 +105,8 @@ class TestStaleRead:
 def _churn_worker(shared_root, ready_path):
     """Store/save forever with a tiny bound so every save compacts;
     the parent SIGKILLs this process mid-flight."""
-    cache = VerificationCache(shared_root, max_entries=4,
-                              writer_id="doomed")
+    cache = open_store(shared_root, max_entries=4,
+                       writer_id="doomed")
     index = 0
     while True:
         cache.store(f"churn-{index}", f"fp{index}", {"i": index})
@@ -143,7 +143,7 @@ class TestCrashRecovery:
             assert entry["writer_id"] == "doomed"
         # And the high-level cache serves them with no phantom hits:
         # a hit must return the stored verdict, a miss stays a miss.
-        cache = VerificationCache(root)
+        cache = open_store(root)
         for label, entry in entries.items():
             assert cache.lookup(label, entry["fingerprint"]) == \
                 entry["verdict"]
@@ -162,13 +162,13 @@ class TestCrashRecovery:
 
     def test_corrupt_bucket_is_counted_and_yields_no_phantom_hits(
             self, tmp_path):
-        cache = VerificationCache(tmp_path / "c")
+        cache = open_store(tmp_path / "c")
         cache.store("lab", "fp", {"satisfied": True})
         cache.save()
         bucket = (tmp_path / "c" / "cas" / "buckets" /
                   f"{bucket_prefix('lab')}.json")
         bucket.write_text('{"entries": {"lab": {"finge')   # torn mid-write
-        reopened = VerificationCache(tmp_path / "c")
+        reopened = open_store(tmp_path / "c")
         with pytest.warns(RuntimeWarning, match="corrupt"):
             assert reopened.lookup("lab", "fp") is None    # honest miss
         stats = reopened.stats_dict()
@@ -177,7 +177,7 @@ class TestCrashRecovery:
         # Recompute-and-store heals the bucket in place.
         reopened.store("lab", "fp", {"satisfied": True})
         reopened.save()
-        healed = VerificationCache(tmp_path / "c")
+        healed = open_store(tmp_path / "c")
         assert healed.lookup("lab", "fp") == {"satisfied": True}
 
 

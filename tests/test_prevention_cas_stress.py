@@ -18,10 +18,10 @@ import json
 import multiprocessing
 import threading
 
-from repro.prevention import VerificationCache
 from repro.prevention.cas.store import (
     MAX_RECORDS, BucketStore, bucket_prefix)
 from repro.prevention.cas.tiers import TieredVerdictStore
+from tests.verdict_store import open_store
 
 WRITERS = 6
 ROUNDS = 8
@@ -32,7 +32,7 @@ def _stress_worker(shared_root, writer_index, rounds):
 
     Module-level so multiprocessing's spawn start method can pickle it.
     """
-    cache = VerificationCache(
+    cache = open_store(
         shared_root.parent / f"local-{writer_index}", shared=shared_root,
         writer_id=f"stress-w{writer_index}")
     for round_index in range(rounds):
@@ -139,12 +139,12 @@ class TestSequencedConflict:
         even if the earlier writer saves again afterwards with a
         stale in-memory copy (its promotion must not clobber)."""
         shared_root = tmp_path / "shared"
-        first = VerificationCache(tmp_path / "a", shared=shared_root,
-                                  writer_id="first")
+        first = open_store(tmp_path / "a", shared=shared_root,
+                           writer_id="first")
         first.store("lab", "fp-old", {"winner": "first"})
         first.save()
-        second = VerificationCache(tmp_path / "b", shared=shared_root,
-                                   writer_id="second")
+        second = open_store(tmp_path / "b", shared=shared_root,
+                            writer_id="second")
         # Invalidation then fresh store: the flat-compatible sequence.
         assert second.lookup("lab", "fp-new") is None
         second.store("lab", "fp-new", {"winner": "second"})
@@ -152,7 +152,7 @@ class TestSequencedConflict:
         # First writer re-saves; its stale entry must not resurrect.
         first.lookup("lab", "fp-old")      # promotes stale copy to memory
         first.save()
-        fresh = VerificationCache(tmp_path / "c", shared=shared_root)
+        fresh = open_store(tmp_path / "c", shared=shared_root)
         assert fresh.lookup("lab", "fp-new") == {"winner": "second"}
 
 
