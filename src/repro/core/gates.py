@@ -23,7 +23,7 @@ holding only front-end-lowered IR can run the pipeline directly.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.pipeline import PipelineContext
 from repro.core.repository import (
@@ -247,12 +247,13 @@ class VerificationGate(SecurityGate):
     :class:`~repro.ta.checker.ZoneGraphChecker`, built on that network's
     first check and dropped after its last, so later queries walk the
     successor edges the earlier ones cached; fingerprinting likewise
-    serializes each network object once per evaluation.  Each task
-    writes its network's ``checker:<n>`` key: tasks on one network run
-    one after another in task order, tasks on different networks are
-    independent and fan out across the workers.  Cache counters — plus the
-    repository's content-fingerprint dedup accounting — land in the
-    gate metrics and in ``verification_cache_stats``.
+    serializes and hashes each network object once per evaluation.
+    Each task writes its network's ``checker:<n>`` key: tasks on one
+    network run one after another in task order, tasks on different
+    networks are independent and fan out across the workers.  Cache
+    counters — plus the repository's content-fingerprint dedup
+    accounting — land in the gate metrics and in
+    ``verification_cache_stats``.
     """
 
     name = "verification"
@@ -268,11 +269,11 @@ class VerificationGate(SecurityGate):
         if self.cache is not None:
             from repro.prevention.fingerprint import fingerprint_task
 
-            # One canonical serialization per network for this
-            # evaluation; ``tasks`` keeps every network alive meanwhile.
-            serialized: Dict[int, str] = {}
+            # One network hash state per network for this evaluation;
+            # ``tasks`` keeps every network alive meanwhile.
+            hashed: Dict[int, Any] = {}
             for index, (label, network, query_text) in enumerate(tasks):
-                fp = fingerprint_task(network, query_text, memo=serialized)
+                fp = fingerprint_task(network, query_text, memo=hashed)
                 verdict = self.cache.lookup(label, fp)
                 if verdict is not None:
                     results[index] = (label, _verdict_from_dict(verdict))

@@ -26,6 +26,7 @@ from repro.prevention.cas import (
 from repro.prevention.fleet import FleetReport, FleetRun, simulate_fleet
 from repro.prevention.fingerprint import (
     canonical_network,
+    canonical_network_json,
     canonical_query,
     canonical_requirement,
     fingerprint,
@@ -47,6 +48,7 @@ __all__ = [
     "bundled_verification_tasks",
     "simulate_fleet",
     "canonical_network",
+    "canonical_network_json",
     "canonical_query",
     "canonical_requirement",
     "fingerprint",

@@ -164,14 +164,23 @@ class TestBatchFingerprintIdentity:
     def test_one_canonical_network_per_network_per_evaluation(
             self, monkeypatch):
         calls = []
-        original = fingerprint_module.canonical_network
+        memos = []
+        original = fingerprint_module.canonical_network_json
+        original_task = fingerprint_module.fingerprint_task
 
         def counting(network):
             calls.append(id(network))
             return original(network)
 
-        monkeypatch.setattr(fingerprint_module, "canonical_network",
+        def recording(network, query_text, requirement=None, memo=None):
+            if not any(memo is seen for seen in memos):
+                memos.append(memo)
+            return original_task(network, query_text, requirement, memo)
+
+        monkeypatch.setattr(fingerprint_module, "canonical_network_json",
                             counting)
+        monkeypatch.setattr(fingerprint_module, "fingerprint_task",
+                            recording)
         tasks = bundled_verification_tasks()
         distinct = {id(network) for _label, network, _text in tasks}
         gate = VerificationGate(cache=RecordingCache())
@@ -179,6 +188,8 @@ class TestBatchFingerprintIdentity:
             gate.evaluate(PipelineContext(verification_tasks=tasks))
             assert len(calls) == evaluation * len(distinct)
             assert set(calls) == distinct
+            assert len(memos) == evaluation
+            assert set(memos[-1]) == distinct
 
 
 class TestCheckerVersionSalt:
