@@ -58,12 +58,6 @@ class ChaosRunResult:
     posture_ratio: float = 0.0        # worst-host compliance after run
 
     @property
-    def events_per_second(self) -> float:
-        if self.storm_seconds <= 0:
-            return 0.0
-        return self.events_emitted / self.storm_seconds
-
-    @property
     def fully_repaired(self) -> bool:
         """100% eventual repair coverage: every host fully compliant."""
         return self.posture_ratio >= 1.0

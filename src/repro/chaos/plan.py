@@ -382,10 +382,6 @@ class Campaign:
         """Stage *index*'s plan with the campaign seed folded in."""
         return replace(self.stages[index].plan, seed=self.seed)
 
-    @property
-    def total_min_rounds(self) -> int:
-        return sum(stage.rounds for stage in self.stages)
-
     def describe(self) -> str:
         stages = " -> ".join(
             f"{stage.name}({stage.rounds}r"

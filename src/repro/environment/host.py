@@ -62,9 +62,6 @@ class SimulatedHost:
             self.events.emit("setting.changed", key=key,
                              before=before, after=value)
 
-    def settings_snapshot(self) -> Dict[str, str]:
-        return dict(self._settings)
-
     # -- drift injection ------------------------------------------------------
 
     def drift_audit_policy(self, subcategory: str,

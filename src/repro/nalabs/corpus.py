@@ -96,12 +96,6 @@ class InjectionGroundTruth:
     def ids_for(self, smell: str) -> Set[str]:
         return self.injected.get(smell, set())
 
-    def all_injected_ids(self) -> Set[str]:
-        union: Set[str] = set()
-        for ids in self.injected.values():
-            union |= ids
-        return union
-
     def precision_recall(self, smell: str, flagged_ids: Sequence[str]
                          ) -> Tuple[float, float]:
         """Precision/recall of *flagged_ids* against this ground truth.

@@ -106,12 +106,6 @@ class StreamDelta:
     def empty(self) -> bool:
         return not (self.added or self.changed or self.removed)
 
-    def touched_rids(self) -> Tuple[str, ...]:
-        rids = ([r.rid for r in self.added]
-                + [new.rid for _, new in self.changed]
-                + [r.rid for r in self.removed])
-        return tuple(rids)
-
     def summary(self) -> Dict[str, int]:
         return {"generation": self.generation,
                 "added": len(self.added), "changed": len(self.changed),

@@ -27,7 +27,7 @@ from repro.environment.profiles import (
     hardened_ubuntu_host,
     hardened_windows_host,
 )
-from repro.standards.iec62443 import SecurityLevel, requirements_for_level
+from repro.standards.iec62443 import SecurityLevel
 
 #: Zone templates in conduit (depth) order: enterprise IT at the top,
 #: safety systems at the bottom.  ``windows_ratio`` is the typical
@@ -123,11 +123,6 @@ class FleetTopology:
             census.setdefault(shard, {})
             census[shard][zone] = census[shard].get(zone, 0) + 1
         return census
-
-    def zone_requirements(self) -> Dict[str, int]:
-        """zone -> number of IEC 62443-3-3 SRs its level demands."""
-        return {zone.name: len(requirements_for_level(zone.level))
-                for zone in self.zones}
 
     def validate(self) -> List[str]:
         """Structural problems (empty list = a valid topology)."""

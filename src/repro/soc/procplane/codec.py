@@ -316,7 +316,3 @@ class MergeCodec:
     @staticmethod
     def unpack_rearmed(buffer, offset: int) -> int:
         return _FLUSH.unpack_from(buffer, offset)[1]
-
-
-def tag_of(buffer, offset: int) -> int:
-    return buffer[offset]

@@ -42,11 +42,6 @@ class WorkerSupervisor:
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
 
-    def poke(self) -> None:
-        """Wake the monitor immediately instead of waiting out the
-        poll interval."""
-        self._poke.set()
-
     #: Carried-restart chain length at which the handover falls back to
     #: a real thread spawn, unwinding the accumulated carry stack.
     MAX_CARRY_DEPTH = 32

@@ -22,15 +22,16 @@ on, and ``deadlock`` holds where some valuation has no way out.
 Liveness queries are restricted to location-based formulas, where zone
 semantics are crisp.
 
-Fast paths (the E15 prevention-plane optimization): guards, invariants
-and resets are pre-resolved at construction into flat ``(i, j, encoded
-bound)`` operation lists (no per-visit name lookups); discrete-step
-enumeration and urgency are memoized by :class:`NetworkState`, and each
-state's invariant and step ops are translated once to its zones' clock
-positions; zone intersection uses the DBM's O(n²)
-incremental re-closure; and the visited store keys zones by their
-canonical hash for O(1) exact-duplicate pruning before the inclusion
-scan.
+Fast paths (the E15 prevention-plane optimization): construction
+compiles the network into a step table — per location its internal and
+emitting edges, guards, resets and invariant as flat ``(i, j, encoded
+bound)`` ops, its active clocks, and urgency; per channel its receivers
+— so each discrete state's steps are read off the table once, in the
+order of :meth:`~repro.ta.system.Network.discrete_steps` (the reference
+enumerator), and translated once to its zones' clock positions; zone
+intersection uses the DBM's O(n²) incremental re-closure; and the
+visited store keys zones by their canonical hash for O(1)
+exact-duplicate pruning before the inclusion scan.
 
 The fast path also applies UPPAAL's active-clock reduction (Daws &
 Yovine, RTSS 1996) and carries it into the zones' representation: a
@@ -103,6 +104,13 @@ class CheckResult:
         )
 
 
+def _negated(dual: CheckResult, query: str) -> CheckResult:
+    """The verdict of *query* from that of its dual: the same search,
+    the opposite answer."""
+    return CheckResult(not dual.satisfied, query, dual.states_explored,
+                       dual.witness)
+
+
 def _constraint_ops(network: Network, automaton: TimedAutomaton,
                     constraint: ClockConstraint
                     ) -> Tuple[Tuple[int, int, int], ...]:
@@ -121,11 +129,59 @@ def _constraint_ops(network: Network, automaton: TimedAutomaton,
             (j, i, encode(-value, strict=False)))
 
 
+def _resolve(network: Network, automaton: TimedAutomaton,
+             constraints: Tuple[ClockConstraint, ...]) -> tuple:
+    """A conjunction of *automaton*'s constraints as one op tuple."""
+    if not constraints:
+        return ()
+    return tuple(op for constraint in constraints
+                 for op in _constraint_ops(network, automaton, constraint))
+
+
+def _enabling_ops(guard: tuple, reset: tuple, invariant: tuple,
+                  pos: Dict[int, int]) -> Optional[tuple]:
+    """The ops of a step's enabling set over the zone positions *pos*,
+    or None where no valuation enables it: its *guard*, and the
+    target's *invariant* with the *reset* clocks read as the zero
+    clock, all over global clock ids.  A guard clock is active at the
+    source, and so is a target invariant clock the step does not
+    reset, so *pos* has them all."""
+    ops = list(guard)
+    for i, j, bound in invariant:
+        i = 0 if i in reset else i
+        j = 0 if j in reset else j
+        if i != j:
+            ops.append((i, j, bound))
+        elif bound < LE_ZERO:
+            return None       # "0 - 0 < 0" or "0 <= -c"
+    return tuple((pos[i], pos[j], bound) for i, j, bound in ops)
+
+
 def _query_constant(formulas: Iterable[StateFormula]) -> int:
     """The largest constant the formulas' clock atoms compare with."""
     return max((abs(atom.constraint.value)
                 for formula in formulas for atom in formula.atoms()
                 if atom.constraint is not None), default=0)
+
+
+class _Site:
+    """One automaton location in a checker's step table.
+
+    ``internal`` and ``emits`` hold its outgoing internal and emitting
+    edges in edge order, as ``(edge, guard ops, reset ids)`` over global
+    clock ids; an emit adds its channel's receivers, as ``(automaton
+    index, source location, edge, guard ops, reset ids)`` by automaton
+    and then edge order.  ``inv`` is the location's invariant as ops,
+    ``keep`` the global ids of the clocks active there, ascending.
+    """
+
+    __slots__ = ("internal", "emits", "inv", "keep")
+
+    def __init__(self, inv: tuple, keep: Tuple[int, ...]):
+        self.internal: Tuple[tuple, ...] = ()
+        self.emits: Tuple[tuple, ...] = ()
+        self.inv = inv
+        self.keep = keep
 
 
 class _Layout:
@@ -156,25 +212,22 @@ class _Layout:
 class _ZoneGraph:
     """The zone graph one query explores.
 
-    ``k`` is its extrapolation constant.  ``keep`` lists, per automaton
-    and location, the global ids of the clocks a zone keeps while the
-    automaton is there: those active at the location and those the
-    query's clock atoms pin, ascending.  ``layouts`` memoizes each
-    discrete state's :class:`_Layout`, and ``succ`` the successors of
-    its symbolic states.  All three are None on the unreduced reference
-    path, whose zones span every clock.
+    ``k`` is its extrapolation constant and ``pinned`` the global ids
+    of the clocks the query's clock atoms read, which every zone keeps.
+    ``layouts`` memoizes each discrete state's :class:`_Layout`, and
+    ``succ`` the successors of its symbolic states.  All three are None
+    on the unreduced reference path, whose zones span every clock.
     """
 
-    __slots__ = ("k", "keep", "layouts", "succ")
+    __slots__ = ("k", "pinned", "layouts", "succ")
 
-    def __init__(self, k: int,
-                 keep: Optional[List[Dict[str, Tuple[int, ...]]]] = None):
+    def __init__(self, k: int, pinned: Optional[FrozenSet[int]] = None):
         self.k = k
-        self.keep = keep
+        self.pinned = pinned
         self.layouts: Optional[Dict[NetworkState, _Layout]] = (
-            None if keep is None else {})
+            None if pinned is None else {})
         self.succ: Optional[Dict[Tuple[NetworkState, tuple], tuple]] = (
-            None if keep is None else {})
+            None if pinned is None else {})
 
 
 class ZoneGraphChecker:
@@ -187,15 +240,15 @@ class ZoneGraphChecker:
     benchmarks and equivalence tests: the same verdicts, but the full
     zone graph and its state counts.
 
-    A checker holds no per-query state, only memos of the network's
-    symbolic semantics (discrete steps, urgency, each discrete state's
-    clock layout and step plans, and the successors of each visited
-    symbolic state).  Layouts and successors are kept per set of pinned
-    clocks (those a query's clock atoms read) and extrapolation
-    constant, so states built under different reductions never mix.
-    Any number of
-    queries may run on one checker, one at a time, and each gets the
-    verdict a fresh checker would give.  The memos live as long as the
+    A checker holds no per-query state, only its step table (built
+    once, at construction) and memos of the network's symbolic
+    semantics (discrete steps, each discrete state's clock layout and
+    step plans, and the successors of each visited symbolic state).
+    Layouts and successors are kept per set of pinned clocks (those a
+    query's clock atoms read) and extrapolation constant, so states
+    built under different reductions never mix.  Any number of queries
+    may run on one checker, one at a time, and each gets the verdict a
+    fresh checker would give.  The table and memos live as long as the
     checker: :class:`~repro.core.gates.VerificationGate` builds one per
     network and drops it after that network's last task, so the
     successor memo lives for one gate evaluation.
@@ -206,39 +259,39 @@ class ZoneGraphChecker:
         self._k = network.max_constant()
         self._fast = fast
         if fast:
-            automata = network.automata
-            # Pre-resolved guard ops and global reset indices per edge.
-            self._guard_ops: Dict[Tuple[int, "object"], tuple] = {}
-            self._reset_ids: Dict[Tuple[int, "object"], tuple] = {}
-            for index, automaton in enumerate(automata):
+            # The step table: one _Site per automaton and location, and
+            # each automaton that has urgent locations with their names.
+            receivers: Dict[str, list] = {}
+            self._sites: List[Dict[str, _Site]] = []
+            urgent_at = []
+            for index, automaton in enumerate(network.automata):
+                ids = {clock: network.global_clock(automaton, clock)
+                       for clock in automaton.clocks}
+                active = automaton.active_clocks()
+                sites = {name: _Site(_resolve(network, automaton,
+                                              location.invariant),
+                                     tuple(sorted(map(ids.__getitem__,
+                                                      active[name]))))
+                         for name, location in automaton.locations.items()}
                 for edge in automaton.edges:
-                    key = (index, edge)
-                    self._guard_ops[key] = tuple(
-                        op for constraint in edge.guard
-                        for op in _constraint_ops(network, automaton,
-                                                  constraint))
-                    self._reset_ids[key] = tuple(
-                        network.global_clock(automaton, clock)
-                        for clock in edge.resets)
-            # Pre-resolved invariant ops per (automaton, location).
-            self._loc_inv: List[Dict[str, tuple]] = []
-            for automaton in automata:
-                table = {}
-                for name, location in automaton.locations.items():
-                    table[name] = tuple(
-                        op for constraint in location.invariant
-                        for op in _constraint_ops(network, automaton,
-                                                  constraint))
-                self._loc_inv.append(table)
-            # Per-NetworkState memos, filled lazily during exploration.
-            self._steps: Dict[NetworkState, Tuple[ComposedStep, ...]] = {}
-            self._urgent: Dict[NetworkState, bool] = {}
-            # Active clocks per (automaton, location), as global ids.
-            self._active: List[Dict[str, FrozenSet[int]]] = [
-                {name: frozenset(network.global_clock(automaton, clock)
-                                 for clock in clocks)
-                 for name, clocks in automaton.active_clocks().items()}
-                for automaton in automata]
+                    entry = (edge, _resolve(network, automaton, edge.guard),
+                             tuple(map(ids.__getitem__, edge.resets)))
+                    if edge.sync is None:
+                        sites[edge.source].internal += (entry,)
+                    elif edge.is_emit:
+                        sites[edge.source].emits += (entry + (
+                            receivers.setdefault(edge.channel, []),),)
+                    else:
+                        receivers.setdefault(edge.channel, []).append(
+                            (index, edge.source) + entry)
+                urgent = [name for name, location
+                          in automaton.locations.items() if location.urgent]
+                if urgent:
+                    urgent_at.append((index, frozenset(urgent)))
+                self._sites.append(sites)
+            self._urgent_at = tuple(urgent_at)
+            # Per-NetworkState step memo, filled lazily during exploration.
+            self._steps: Dict[NetworkState, tuple] = {}
             # One reduced graph per pinned clock set and extrapolation
             # constant.  Symbolic states are immutable once built, so
             # repeated checks on this checker walk its cached edges
@@ -252,40 +305,84 @@ class ZoneGraphChecker:
 
     # -- symbolic semantics ----------------------------------------------------
 
-    def _apply_constraint(self, zone: DBM, automaton: TimedAutomaton,
-                          constraint: ClockConstraint) -> None:
-        """Reference path: intersect *zone* with one constraint via full
-        re-canonicalization (``fast=False`` mode only)."""
-        for i, j, bound in _constraint_ops(self.network, automaton,
-                                           constraint):
-            zone.constrain_full(i, j, bound)
-
     def _apply_invariants(self, zone: DBM, state: NetworkState,
                           layout: _Layout) -> None:
         if self._fast:
             for i, j, bound in layout.inv:
                 zone.constrain(i, j, bound)
         else:
-            for automaton, constraint in self.network.invariants_at(state):
-                self._apply_constraint(zone, automaton, constraint)
+            for i, j, bound in self._invariant(state):
+                zone.constrain_full(i, j, bound)
 
-    def _steps_from(self, state: NetworkState) -> Tuple[ComposedStep, ...]:
+    def _invariant(self, state: NetworkState) -> tuple:
+        """*state*'s invariant as ops over global clock ids."""
+        if self._fast:
+            return tuple(op for sites, location in zip(self._sites,
+                                                       state.locations)
+                         for op in sites[location].inv)
+        return tuple(op for automaton, constraint
+                     in self.network.invariants_at(state)
+                     for op in _constraint_ops(self.network, automaton,
+                                               constraint))
+
+    def _steps_from(self, state: NetworkState) -> tuple:
+        """The discrete steps from *state* as ``(step, guard ops, reset
+        ids)`` over global clock ids, in the order of
+        :meth:`Network.discrete_steps`: internal steps by automaton and
+        then edge order, then each emit with each receiver on its
+        channel in another automaton.
+
+        The reference path enumerates them afresh with that method and
+        resolves their constraints by name; the fast path reads them
+        off the step table, once per state.
+        """
+        network = self.network
         if not self._fast:
-            return tuple(self.network.discrete_steps(state))
+            return tuple(
+                (step,
+                 tuple(op for index, edge in step.edges
+                       for op in _resolve(network, network.automata[index],
+                                          edge.guard)),
+                 tuple(network.global_clock(network.automata[index], clock)
+                       for index, edge in step.edges
+                       for clock in edge.resets))
+                for step in network.discrete_steps(state))
         steps = self._steps.get(state)
-        if steps is None:
-            steps = tuple(self.network.discrete_steps(state))
-            self._steps[state] = steps
+        if steps is not None:
+            return steps
+        locations = state.locations
+        sites = [table[location]
+                 for table, location in zip(self._sites, locations)]
+        steps = []
+        for index, site in enumerate(sites):
+            for edge, guard, reset in site.internal:
+                moved = list(locations)
+                moved[index] = edge.target
+                steps.append((ComposedStep(((index, edge),),
+                                           NetworkState(tuple(moved))),
+                              guard, reset))
+        for emit_index, site in enumerate(sites):
+            for emit, guard, reset, receivers in site.emits:
+                for recv_index, source, receive, recv_guard, recv_reset \
+                        in receivers:
+                    if recv_index == emit_index \
+                            or locations[recv_index] != source:
+                        continue
+                    moved = list(locations)
+                    moved[emit_index] = emit.target
+                    moved[recv_index] = receive.target
+                    steps.append((ComposedStep(((emit_index, emit),
+                                                (recv_index, receive)),
+                                               NetworkState(tuple(moved))),
+                                  guard + recv_guard, reset + recv_reset))
+        steps = self._steps[state] = tuple(steps)
         return steps
 
     def _is_urgent(self, state: NetworkState) -> bool:
         if not self._fast:
             return self.network.is_urgent(state)
-        urgent = self._urgent.get(state)
-        if urgent is None:
-            urgent = self.network.is_urgent(state)
-            self._urgent[state] = urgent
-        return urgent
+        return any(state.locations[index] in urgent
+                   for index, urgent in self._urgent_at)
 
     def _graph(self, *formulas: StateFormula) -> _ZoneGraph:
         """The zone graph a query over *formulas* explores.
@@ -308,35 +405,30 @@ class ZoneGraphChecker:
             if clock)
         graph = self._graphs.get((pinned, k))
         if graph is None:
-            keep = []
-            for automaton, table in zip(network.automata, self._active):
-                mine = pinned.intersection(
-                    network.global_clock(automaton, clock)
-                    for clock in automaton.clocks)
-                keep.append({name: tuple(sorted(active | mine))
-                             for name, active in table.items()})
-            graph = self._graphs[(pinned, k)] = _ZoneGraph(k, keep)
+            graph = self._graphs[(pinned, k)] = _ZoneGraph(k, pinned)
         return graph
 
     def _layout(self, graph: _ZoneGraph, state: NetworkState) -> _Layout:
-        """*state*'s clock layout in *graph*.
+        """*state*'s clock layout in *graph*: the clocks active at its
+        locations and the graph's pinned ones.
 
         Global clock ids ascend with the automaton that owns them, so
-        chaining each automaton's kept clocks in network order lists
-        the state's clocks sorted.
+        chaining each automaton's active clocks in network order lists
+        them sorted.
         """
         if graph.layouts is None:
             return self._full_layout
         layout = graph.layouts.get(state)
         if layout is None:
-            clocks = tuple(clock
-                           for index, location in enumerate(state.locations)
-                           for clock in graph.keep[index][location])
+            clocks = tuple(clock for sites, location
+                           in zip(self._sites, state.locations)
+                           for clock in sites[location].keep)
+            if graph.pinned:
+                clocks = tuple(sorted(graph.pinned.union(clocks)))
             pos = {clock: a for a, clock in enumerate(clocks, 1)}
             pos[0] = 0
             inv = tuple((pos[i], pos[j], bound)
-                        for index, location in enumerate(state.locations)
-                        for i, j, bound in self._loc_inv[index][location])
+                        for i, j, bound in self._invariant(state))
             layout = graph.layouts[state] = _Layout(clocks, pos, inv)
         return layout
 
@@ -355,18 +447,14 @@ class ZoneGraphChecker:
         if moves is None:
             pos = layout.pos
             plans = []
-            for step in self._steps_from(state):
+            for step, guard, reset in self._steps_from(state):
                 target = self._layout(graph, step.target)
-                guard = []
-                reset = set()
-                for move in step.edges:
-                    guard.extend((pos[i], pos[j], bound)
-                                 for i, j, bound in self._guard_ops[move])
-                    reset.update(self._reset_ids[move])
                 sources = (0,) + tuple(0 if clock in reset else pos[clock]
                                        for clock in target.clocks)
-                plans.append((step, tuple(guard), sources, target,
-                              self._is_urgent(step.target)))
+                plans.append((step,
+                              tuple((pos[i], pos[j], bound)
+                                    for i, j, bound in guard),
+                              sources, target, self._is_urgent(step.target)))
             moves = layout.moves = tuple(plans)
         return moves
 
@@ -441,23 +529,14 @@ class ZoneGraphChecker:
                                                   _Layout, DBM]]:
         """Unreduced path: every zone spans every clock."""
         layout = self._full_layout
-        for step in self._steps_from(state):
+        for step, guard, reset in self._steps_from(state):
             successor = zone.copy()
-            feasible = True
-            for index, edge in step.edges:
-                automaton = self.network.automata[index]
-                for constraint in edge.guard:
-                    self._apply_constraint(successor, automaton, constraint)
-                if successor.is_empty():
-                    feasible = False
-                    break
-            if not feasible:
+            for i, j, bound in guard:
+                successor.constrain_full(i, j, bound)
+            if successor.is_empty():
                 continue
-            for index, edge in step.edges:
-                automaton = self.network.automata[index]
-                for clock in edge.resets:
-                    successor.reset(
-                        self.network.global_clock(automaton, clock))
+            for clock in reset:
+                successor.reset(clock)
             self._apply_invariants(successor, step.target, layout)
             if successor.is_empty():
                 continue
@@ -567,40 +646,13 @@ class ZoneGraphChecker:
         the fast path."""
         if layout.enabling is not None:
             return layout.enabling
-        enabling = tuple(self._enabling_ops(step, layout.pos)
-                         for step in self._steps_from(state))
+        enabling = tuple(
+            _enabling_ops(guard, reset, self._invariant(step.target),
+                          layout.pos)
+            for step, guard, reset in self._steps_from(state))
         if self._fast:
             layout.enabling = enabling
         return enabling
-
-    def _enabling_ops(self, step: ComposedStep, pos: Dict[int, int]
-                      ) -> Optional[tuple]:
-        """The ops of *step*'s enabling set: its guards, and the
-        target's invariants once the step's resets are applied (a reset
-        clock reads as the zero clock), over the zone positions *pos*.
-
-        A guard clock is active at the source, and so is a target
-        invariant clock the step does not reset, so *pos* has them all.
-        """
-        network = self.network
-        ops = []
-        reset = set()
-        for index, edge in step.edges:
-            automaton = network.automata[index]
-            for constraint in edge.guard:
-                ops.extend(_constraint_ops(network, automaton, constraint))
-            reset.update(network.global_clock(automaton, clock)
-                         for clock in edge.resets)
-        for automaton, constraint in network.invariants_at(step.target):
-            for i, j, bound in _constraint_ops(network, automaton,
-                                               constraint):
-                i = 0 if i in reset else i
-                j = 0 if j in reset else j
-                if i != j:
-                    ops.append((i, j, bound))
-                elif bound < LE_ZERO:
-                    return None       # "0 - 0 < 0" or "0 <= -c"
-        return tuple((pos[i], pos[j], bound) for i, j, bound in ops)
 
     # -- exploration -------------------------------------------------------------
 
@@ -680,13 +732,7 @@ class ZoneGraphChecker:
 
     def invariantly(self, formula: StateFormula) -> CheckResult:
         """``A[] φ``: does φ hold in every reachable state?"""
-        dual = self.reachable(formula.negate())
-        return CheckResult(
-            satisfied=not dual.satisfied,
-            query=f"A[] {formula}",
-            states_explored=dual.states_explored,
-            witness=dual.witness,
-        )
+        return _negated(self.reachable(formula.negate()), f"A[] {formula}")
 
     def eventually_on_all_paths(self, formula: StateFormula) -> CheckResult:
         """``A<> φ``: every maximal path reaches a φ-state.
@@ -709,13 +755,8 @@ class ZoneGraphChecker:
 
     def possibly_always(self, formula: StateFormula) -> CheckResult:
         """``E[] φ``: some maximal path stays in φ forever."""
-        dual = self.eventually_on_all_paths(formula.negate())
-        return CheckResult(
-            satisfied=not dual.satisfied,
-            query=f"E[] {formula}",
-            states_explored=dual.states_explored,
-            witness=dual.witness,
-        )
+        return _negated(self.eventually_on_all_paths(formula.negate()),
+                        f"E[] {formula}")
 
     def leads_to(self, premise: StateFormula, conclusion: StateFormula
                  ) -> CheckResult:
@@ -982,10 +1023,4 @@ class DiscreteTimeChecker:
         return CheckResult(False, f"E<> {formula}", explored)
 
     def invariantly(self, formula: StateFormula) -> CheckResult:
-        dual = self.reachable(formula.negate())
-        return CheckResult(
-            satisfied=not dual.satisfied,
-            query=f"A[] {formula}",
-            states_explored=dual.states_explored,
-            witness=dual.witness,
-        )
+        return _negated(self.reachable(formula.negate()), f"A[] {formula}")

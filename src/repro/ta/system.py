@@ -83,6 +83,8 @@ class Network:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate automaton names: {names}")
         self.automata: Tuple[TimedAutomaton, ...] = tuple(automata)
+        self._index: Dict[str, int] = {
+            name: index for index, name in enumerate(names)}
         # Global clock index: 1-based (0 is the DBM reference clock).
         self.clock_index: Dict[str, int] = {}
         for automaton in self.automata:
@@ -101,10 +103,10 @@ class Network:
         return NetworkState(tuple(a.initial for a in self.automata))
 
     def automaton_index(self, name: str) -> int:
-        for index, automaton in enumerate(self.automata):
-            if automaton.name == name:
-                return index
-        raise KeyError(f"no automaton named {name!r}")
+        index = self._index.get(name)
+        if index is None:
+            raise KeyError(f"no automaton named {name!r}")
+        return index
 
     def global_clock(self, automaton: TimedAutomaton, clock: str) -> int:
         return self.clock_index[f"{automaton.name}.{clock}"]
@@ -150,7 +152,9 @@ class Network:
         Internal edges come first (by automaton, then edge order); then
         every emit pairs with every receive on its channel in a
         *different* automaton (emits and receives each by automaton,
-        then edge order).
+        then edge order).  The reference enumerator: the simulator and
+        the discrete-time and unreduced checkers use it, and the fast
+        checker's step table is tested against it.
         """
         at = [self._edges_at(index, location)
               for index, location in enumerate(state.locations)]

@@ -1,5 +1,8 @@
 """Unit tests for automata, networks, queries, and the model checkers."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +16,7 @@ from repro.ta import (
     parse_guard,
     parse_query,
 )
+from repro.core.gates import _verdict_to_dict
 from repro.prevention.tasks import _token_ring, _watchdog
 from repro.ta.query import parse_state_formula
 from tests.test_ta_properties import checker_cases
@@ -116,6 +120,13 @@ class TestNetwork:
         network = Network([door_automaton()])
         steps = list(network.discrete_steps(network.initial_state()))
         assert [s.label for s in steps] == ["open"]
+
+    def test_automaton_index_by_name(self):
+        network = lamp_network()
+        assert [network.automaton_index(name)
+                for name in ("Lamp", "User")] == [0, 1]
+        with pytest.raises(KeyError, match="no automaton named 'Door'"):
+            network.automaton_index("Door")
 
 
 class TestQueryParsing:
@@ -543,3 +554,30 @@ class TestDeadlockAtom:
             result = checker.check(parse_query("A<> T.l1"))
             assert not result.satisfied
             assert result.witness == ["(time divergence)"]
+
+
+# -- golden verdicts -----------------------------------------------------------------
+
+#: The digest of :func:`test_prevent_ci_corpus_verdicts_are_golden`'s
+#: 63 verdict dicts under ``CHECKER_VERSION`` 3.
+GOLDEN_VERDICTS = "6d742047b693ac866e5180e370884e08"
+
+
+def test_prevent_ci_corpus_verdicts_are_golden():
+    """The verdict dicts of the prevent-ci corpus, witnesses and
+    ``states_explored`` included, are those cached under
+    ``CHECKER_VERSION`` 3: token rings of 12-18 stations at holds 4, 6
+    and 8, one checker per network, each asked prevent-ci's mutex,
+    progress and token-returns queries in that order."""
+    verdicts = []
+    for size in range(12, 19):
+        for hold in (4, 6, 8):
+            checker = ZoneGraphChecker(_token_ring(size, hold))
+            for text in ("A[] not (S0.busy and S1.busy)",
+                         f"E<> S{size - 1}.busy",
+                         "S1.busy --> S0.busy"):
+                verdicts.append(
+                    _verdict_to_dict(checker.check(parse_query(text))))
+    document = json.dumps(verdicts, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.blake2b(document.encode(), digest_size=16).hexdigest()
+    assert digest == GOLDEN_VERDICTS

@@ -491,6 +491,83 @@ def test_discrete_steps_equal_the_two_pass_scan(network):
         assert steps == _two_pass_steps(network, state), state
 
 
+def _assert_step_table_matches(network):
+    """The fast checker's step table yields, from every discrete state
+    (reachable or not), the steps :meth:`Network.discrete_steps` does,
+    in its order, with the guard ops and reset ids the reference path
+    resolves by name; its urgency flags agree with the network's."""
+    compiled = ZoneGraphChecker(network)
+    reference = ZoneGraphChecker(network, fast=False)
+    for state in _every_state(network):
+        steps = compiled._steps_from(state)
+        assert tuple(step for step, _guard, _reset in steps) \
+            == tuple(network.discrete_steps(state)), state
+        assert steps == reference._steps_from(state), state
+        assert compiled._is_urgent(state) == network.is_urgent(state), state
+
+
+@settings(max_examples=300, deadline=None)
+@given(network=networks())
+@example(network=_token_ring(4, 3))
+def test_step_table_equals_the_reference_enumerator(network):
+    _assert_step_table_matches(network)
+
+
+def _station(name, edges, urgent=()):
+    locations = sorted({edge.source for edge in edges}
+                       | {edge.target for edge in edges} | {"l0"})
+    return TimedAutomaton(
+        name, ["x"],
+        [Location(location, urgent=location in urgent)
+         for location in locations],
+        edges, initial="l0")
+
+
+def test_step_table_pairs_every_receiver_on_a_channel():
+    """One emit, three receivers in two automata: three handshakes, by
+    automaton and then edge order; a receiver elsewhere is skipped."""
+    network = Network([
+        _station("A", [Edge("l0", "l1", sync="go!", resets=("x",))]),
+        _station("B", [Edge("l0", "l1", sync="go?"),
+                       Edge("l0", "l2", sync="go?",
+                            guard=parse_guard("x >= 1")),
+                       Edge("l1", "l0", sync="go?")]),
+        _station("C", [Edge("l0", "l1", sync="go?", resets=("x",))]),
+    ])
+    _assert_step_table_matches(network)
+    steps = ZoneGraphChecker(network)._steps_from(network.initial_state())
+    assert [step.target.locations for step, _guard, _reset in steps] == [
+        ("l1", "l1", "l0"), ("l1", "l2", "l0"), ("l1", "l0", "l1")]
+
+
+def test_step_table_never_pairs_an_emitter_with_itself():
+    """An automaton that emits and receives on one channel from one
+    location hands shakes only with the other automaton."""
+    network = Network([
+        _station("A", [Edge("l0", "l1", sync="go!"),
+                       Edge("l0", "l2", sync="go?")]),
+        _station("B", [Edge("l0", "l1", sync="go?"),
+                       Edge("l0", "l2", sync="go!")]),
+    ])
+    _assert_step_table_matches(network)
+    steps = ZoneGraphChecker(network)._steps_from(network.initial_state())
+    assert [step.target.locations for step, _guard, _reset in steps] == [
+        ("l1", "l1"), ("l2", "l2")]
+
+
+def test_step_table_flags_urgent_locations():
+    network = Network([
+        _station("A", [Edge("l0", "l1", action="go"),
+                       Edge("l1", "l0", guard=parse_guard("x <= 0"))],
+                 urgent=("l1",)),
+        _station("B", [Edge("l0", "l1", resets=("x",))]),
+    ])
+    _assert_step_table_matches(network)
+    checker = ZoneGraphChecker(network)
+    assert not checker._is_urgent(NetworkState(("l0", "l1")))
+    assert checker._is_urgent(NetworkState(("l1", "l0")))
+
+
 @st.composite
 def checker_cases(draw):
     network = draw(networks())
