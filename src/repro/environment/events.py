@@ -115,13 +115,14 @@ class EventLog:
         unsubscribe without deadlocking or corrupting dispatch.
         """
         with self._lock:
-            event = Event(time=self._clock, kind=kind,
-                          payload=dict(payload))
+            # ``**payload`` is a fresh dict on every call: no copy.
+            event = Event(self._clock, kind, payload)
             self._events.append(event)
             self._clock += 1
             snapshot = tuple(self._subscriptions)
+        subscriptions = self._subscriptions
         for subscription in snapshot:
-            if subscription.active:
+            if subscription in subscriptions:   # not cancelled meanwhile
                 subscription.callback(event)
         return event
 

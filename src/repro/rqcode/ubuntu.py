@@ -14,6 +14,7 @@ findings from the same STIG exercise the config and service patterns;
 they are grouped at the bottom and flagged as catalogue extensions.
 """
 
+import functools
 from typing import List, Optional
 
 from repro.environment.host import SimulatedHost
@@ -28,6 +29,10 @@ _UBUNTU_STIG = "Canonical Ubuntu 18.04 LTS Security Technical Implementation Gui
 _UBUNTU_DATE = "2021-06-16"
 
 
+# Frozen and static per finding: built once, shared by every instance
+# (one entry per finding class, so the cache stays as small as the
+# catalogue).
+@functools.lru_cache(maxsize=None)
 def _ubuntu_metadata(finding_id: str, severity: str = "medium",
                      description: str = "") -> FindingMetadata:
     return FindingMetadata(

@@ -15,6 +15,7 @@ with the same ``/get``/``/set`` command lines and parses the same report
 text, rather than peeking at the policy store directly.
 """
 
+import functools
 import re
 from abc import abstractmethod
 from typing import List, Optional
@@ -253,6 +254,10 @@ class SensitivePrivilegeUseRequirement(PrivilegeUseRequirement):
 
 # -- concrete findings (rqcode.stigs.win10) ------------------------------------
 
+# Frozen and static per finding: built once, shared by every instance
+# (one entry per finding class, so the cache stays as small as the
+# catalogue).
+@functools.lru_cache(maxsize=None)
 def _win10_metadata(finding_id: str, version: str, rule_id: str,
                     severity: str = "medium") -> FindingMetadata:
     return FindingMetadata(

@@ -7,6 +7,7 @@ finding, replay a password-guessing attack, and the account locks —
 the end-to-end story the account-management STIGs exist for.
 """
 
+import functools
 from abc import abstractmethod
 from typing import Optional
 
@@ -50,6 +51,10 @@ class AccountPolicyRequirement(CheckableEnforceableRequirement):
         return EnforcementStatus.SUCCESS
 
 
+# Frozen and static per finding: built once, shared by every instance
+# (one entry per finding class, so the cache stays as small as the
+# catalogue).
+@functools.lru_cache(maxsize=None)
 def _account_metadata(finding_id: str, version: str) -> FindingMetadata:
     return FindingMetadata(
         finding_id=finding_id,

@@ -11,6 +11,7 @@ the audit-policy slice comes from; they exercise both exact-match and
 minimum-value comparison modes.
 """
 
+import functools
 from abc import abstractmethod
 from typing import Optional
 
@@ -74,6 +75,10 @@ class RegistryValueRequirement(CheckableEnforceableRequirement):
         return EnforcementStatus.SUCCESS
 
 
+# Frozen and static per finding: built once, shared by every instance
+# (one entry per finding class, so the cache stays as small as the
+# catalogue).
+@functools.lru_cache(maxsize=None)
 def _registry_metadata(finding_id: str, version: str,
                        severity: str = "medium") -> FindingMetadata:
     return FindingMetadata(

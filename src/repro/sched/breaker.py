@@ -51,6 +51,12 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """Should the next request run?  Skips are counted here."""
+        # A closed breaker admits on one atomic read, without the lock:
+        # only record_success moves a breaker back to CLOSED, so a
+        # reader that sees CLOSED is ordered before any concurrent
+        # transition away from it.
+        if self.state is BreakerState.CLOSED:
+            return True
         with self._lock:
             if self.state is BreakerState.CLOSED:
                 return True
@@ -70,6 +76,15 @@ class CircuitBreaker:
             return False
 
     def record_success(self) -> None:
+        # Nothing to reset: skip the lock.  consecutive_failures rises
+        # before a breaker leaves CLOSED and is zeroed only after it
+        # returns, so a zero count read after a CLOSED state is one a
+        # locked write would leave as it is (a probe still in flight
+        # is read last and takes the locked path).
+        if (self.state is BreakerState.CLOSED
+                and not self.consecutive_failures
+                and not self._probe_in_flight):
+            return
         with self._lock:
             self.state = BreakerState.CLOSED
             self.consecutive_failures = 0

@@ -68,12 +68,18 @@ class BreakerBank:
         self._lock = threading.Lock()
 
     def get(self, key: Hashable) -> CircuitBreaker:
-        with self._lock:
-            if key not in self._breakers:
-                self._breakers[key] = CircuitBreaker(
-                    failure_threshold=self.failure_threshold,
-                    cooldown=self.cooldown)
-            return self._breakers[key]
+        # A hit is one GIL-atomic dict read (breakers are never
+        # removed); a miss re-checks under the lock, so racing first
+        # uses of a key all receive the one breaker that was stored.
+        breaker = self._breakers.get(key)
+        if breaker is None:
+            with self._lock:
+                breaker = self._breakers.get(key)
+                if breaker is None:
+                    breaker = self._breakers[key] = CircuitBreaker(
+                        failure_threshold=self.failure_threshold,
+                        cooldown=self.cooldown)
+        return breaker
 
     def items(self) -> Iterator[Tuple[Hashable, CircuitBreaker]]:
         with self._lock:
@@ -131,8 +137,7 @@ class PolicyRunner:
             if settled is not None:
                 success, value = settled
                 self._record(breaker, success)
-                return PolicyOutcome(success=success, value=value,
-                                     attempts=0, prechecked=True)
+                return PolicyOutcome(success, value, prechecked=True)
         rng = rng if rng is not None else random.Random(0)
         success = False
         value: Any = None

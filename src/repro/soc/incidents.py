@@ -34,6 +34,7 @@ concurrent analogue of the serial loop's detach-while-enforcing.
 """
 
 import contextlib
+import functools
 import random
 import threading
 import time
@@ -41,14 +42,21 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.protection import Incident, RepairAction
 from repro.environment.host import SimulatedHost
-from repro.rqcode.catalog import StigCatalog
-from repro.rqcode.concepts import CheckStatus, EnforcementStatus
+from repro.rqcode.catalog import CatalogEntry, StigCatalog
+from repro.rqcode.concepts import (CheckableEnforceableRequirement,
+                                   CheckStatus, EnforcementStatus)
 from repro.sched.breaker import BreakerState, CircuitBreaker
 from repro.sched.policy import BreakerBank, PolicyRunner, RetryPolicy
-from repro.soc.metrics import MetricsRegistry
+from repro.soc.metrics import Counter, Histogram, MetricsRegistry
 from repro.soc.sessions import Detection
 
 __all__ = ["IncidentPipeline", "RetryPolicy"]
+
+#: Precheck verdicts, built once: most incidents on a drift-dense fleet
+#: settle here (one drift trips every detector watching its kind, and
+#: all but one of them find their finding already compliant).
+_COMPLIANT = (True, (EnforcementStatus.SUCCESS, CheckStatus.PASS))
+_NOT_IN_CATALOGUE = (False, (EnforcementStatus.FAILURE, CheckStatus.FAIL))
 
 
 class IncidentPipeline:
@@ -86,8 +94,32 @@ class IncidentPipeline:
             on_exception=self._contain_exception,
         )
         self._rngs: Dict[str, random.Random] = {}
+        #: (host, finding id) -> (catalogue entry, requirement).  RQCODE
+        #: requirements are stateless views of their host (check and
+        #: enforce read and write the host, never the instance), so one
+        #: instance per host and entry serves every incident; a finding
+        #: registered again gets a fresh one.
+        self._requirements: Dict[Tuple[SimulatedHost, str],
+                                 Tuple[CatalogEntry,
+                                       CheckableEnforceableRequirement]] = {}
         self._incidents: Dict[str, List[Incident]] = {}
         self._local = threading.local()
+
+    # The registry hands out one stable object per name, so the hot
+    # counters are resolved once, on first use (a counter is created
+    # only when first counted, as ``metrics.counter`` would do).
+
+    @functools.cached_property
+    def _incident_count(self) -> Counter:
+        return self.metrics.counter("soc.incidents")
+
+    @functools.cached_property
+    def _success_count(self) -> Counter:
+        return self.metrics.counter("soc.enforce.success")
+
+    @functools.cached_property
+    def _attempts(self) -> Histogram:
+        return self.metrics.histogram("soc.repair_attempts")
 
     # -- repair-echo suppression ---------------------------------------------------
 
@@ -133,19 +165,24 @@ class IncidentPipeline:
     def handle(self, host: SimulatedHost, detection: Detection,
                finding_ids: List[str]) -> Incident:
         """Process one detection: build the incident, enforce bindings."""
-        incident = Incident(
-            req_id=detection.req_id,
-            detected_at=detection.event.time,
-            trigger_kind=detection.event.kind,
-            violation_time=detection.event.time,
-        )
-        self.metrics.counter("soc.incidents").inc()
+        event = detection.event
+        # Positional: (req_id, detected_at, trigger_kind, violation_time).
+        incident = Incident(detection.req_id, event.time, event.kind,
+                            event.time)
+        self._incident_count.inc()
         if self.risk is not None:
             self.risk.note_incident(detection.req_id)
-        with self.repairing():
+        # :meth:`repairing` inlined: this runs once per detection on the
+        # shard worker, ahead of every later detection of the same event.
+        local = self._local
+        previous = getattr(local, "repairing", False)
+        local.repairing = True
+        try:
+            repairs = incident.repairs
             for finding_id in finding_ids:
-                incident.repairs.append(
-                    self._enforce_with_budget(host, finding_id))
+                repairs.append(self._enforce_with_budget(host, finding_id))
+        finally:
+            local.repairing = previous
         self._incidents.setdefault(host.name, []).append(incident)
         return incident
 
@@ -169,9 +206,8 @@ class IncidentPipeline:
 
     def _enforce_with_budget(self, host: SimulatedHost,
                              finding_id: str) -> RepairAction:
-        breaker = self.breaker_for(host.name, finding_id)
+        breaker = self._breakers.get((host.name, finding_id))
         requirement = None
-        missing = (EnforcementStatus.FAILURE, CheckStatus.FAIL)
 
         def precheck():
             # Short-circuits that spend no attempt budget but do count
@@ -181,18 +217,22 @@ class IncidentPipeline:
             try:
                 entry = self.catalog.get(finding_id)
             except KeyError:
-                return False, missing
-            requirement = entry.instantiate(host)
+                return _NOT_IN_CATALOGUE
+            built = self._requirements.get((host, finding_id))
+            if built is None or built[0] is not entry:
+                built = self._requirements[host, finding_id] = (
+                    entry, entry.instantiate(host))
+            requirement = built[1]
             try:
-                already = requirement.check() is CheckStatus.PASS
+                if requirement.check() is CheckStatus.PASS:
+                    return _COMPLIANT
             except Exception:
                 self.metrics.counter("soc.enforce.exception").inc()
-                already = False
-            if already:
-                return True, (EnforcementStatus.SUCCESS, CheckStatus.PASS)
             return None
 
-        def attempt(index: int) -> Tuple[bool, Tuple]:
+        # No annotations on these closures: they would be evaluated
+        # (typing subscripts) every time the ``def`` runs.
+        def attempt(index):
             # An enforcement that raises — genuinely broken backend or
             # an injected chaos fault — is contained by the policy
             # runner: it burns this attempt and, if the budget runs
@@ -224,12 +264,10 @@ class IncidentPipeline:
             )
         if outcome.prechecked:
             if outcome.success:
-                self.metrics.counter("soc.enforce.success").inc()
-                return RepairAction(
-                    finding_id=finding_id,
-                    status=EnforcementStatus.SUCCESS,
-                    detail="already compliant",
-                )
+                self._success_count.inc()
+                # Positional: (finding_id, status, detail).
+                return RepairAction(finding_id, EnforcementStatus.SUCCESS,
+                                    "already compliant")
             self._note_breaker(breaker)
             self.metrics.counter("soc.enforce.failure").inc()
             return RepairAction(
@@ -238,10 +276,9 @@ class IncidentPipeline:
                 detail="finding not in catalogue",
             )
         status, after = outcome.value
-        self.metrics.histogram("soc.repair_attempts").observe(
-            outcome.attempts)
+        self._attempts.observe(outcome.attempts)
         if outcome.success:
-            self.metrics.counter("soc.enforce.success").inc()
+            self._success_count.inc()
         else:
             self._note_breaker(breaker)
             self.metrics.counter("soc.enforce.failure").inc()

@@ -5,7 +5,10 @@ minimal structure that makes the cross-process hot path cheap:
 
 * head (consumer cursor) and tail (producer cursor) are free-running
   u64 counters at fixed offsets in the segment; ``tail - head`` is the
-  depth, ``index % capacity`` the slot.
+  depth, ``index % capacity`` the slot.  Both are read and written
+  through one ``memoryview.cast("Q")`` over the header, so each cursor
+  access is a single native 8-byte load or store at an 8-byte aligned
+  address (the segment is page-aligned).
 * the producer writes the slot body *then* publishes the new tail; the
   consumer reads records strictly below tail and advances head only
   after a record is fully processed.  A worker that dies mid-record
@@ -18,6 +21,17 @@ minimal structure that makes the cross-process hot path cheap:
   loop is off the hot path (the consumer only waits when there is no
   work).
 
+Memory ordering assumption: x86-64 (TSO).  An aligned 8-byte store
+is atomic, so the other side never reads a torn cursor; stores become
+visible in program order, so a consumer that reads the new tail also
+sees the slot bytes written before it; and a load is not reordered
+with a later store, so the consumer has read a slot before its head
+advance lets the producer reuse it.  Python exposes no fences: on a
+weaker memory model (ARM, POWER) this protocol would need them.  The
+consumer still treats ``tail - head <= 0`` as "nothing to read"
+(:meth:`SpscRing.poll`'s callers stop there), so a head that ever
+passed the tail replays no stale slot.
+
 The parent creates segments and unlinks them at stop; workers attach
 by name.  Attach-side ``resource_tracker`` registration is suppressed
 (CPython < 3.13 tracks segments it only attached to — the well-known
@@ -26,17 +40,14 @@ bpo-38119 behaviour — and with forked workers the tracker process is
 the parent's own registration).
 """
 
-import struct
 import time
 from multiprocessing import resource_tracker, shared_memory
 from typing import Optional
 
-_HEAD = 0           # u64: consumer cursor (free-running)
-_TAIL = 8           # u64: producer cursor (free-running)
-_CLOSED = 16        # u8: producer hung up
+_HEAD = 0           # u64 index 0: consumer cursor (free-running)
+_TAIL = 1           # u64 index 1: producer cursor (free-running)
+_CLOSED = 16        # u8 at byte 16: producer hung up
 _HEADER = 64        # slot array starts here (cache-line away from cursors)
-
-_U64 = struct.Struct("<Q")
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -76,6 +87,9 @@ class SpscRing:
         else:
             self._shm = _attach_untracked(name)
         self.buf = self._shm.buf
+        #: The header as native u64 words: ``_cursors[_HEAD]`` and
+        #: ``_cursors[_TAIL]`` are single aligned loads and stores.
+        self._cursors = self.buf[:_HEADER].cast("Q")
         #: Producer-side cache of the consumer cursor (refreshed only
         #: when the ring looks full) and consumer-side cache of the
         #: producer cursor (refreshed only when the ring looks empty):
@@ -91,11 +105,11 @@ class SpscRing:
 
     @property
     def head(self) -> int:
-        return _U64.unpack_from(self.buf, _HEAD)[0]
+        return self._cursors[_HEAD]
 
     @property
     def tail(self) -> int:
-        return _U64.unpack_from(self.buf, _TAIL)[0]
+        return self._cursors[_TAIL]
 
     @property
     def depth(self) -> int:
@@ -119,7 +133,7 @@ class SpscRing:
         """
         tail = self._cached_tail
         if tail - self._cached_head >= self.capacity:
-            self._cached_head = _U64.unpack_from(self.buf, _HEAD)[0]
+            self._cached_head = self._cursors[_HEAD]
             if tail - self._cached_head >= self.capacity:
                 raise RingFull(self.name)
         return _HEADER + (tail % self.capacity) * self.slot
@@ -127,7 +141,7 @@ class SpscRing:
     def publish(self) -> None:
         """Make the record packed after :meth:`reserve` visible."""
         self._cached_tail += 1
-        _U64.pack_into(self.buf, _TAIL, self._cached_tail)
+        self._cursors[_TAIL] = self._cached_tail
 
     def push_blocking(self, pack, deadline: Optional[float] = None,
                       poll: float = 0.0002) -> bool:
@@ -153,7 +167,7 @@ class SpscRing:
         """Records currently available to the consumer."""
         available = self._cached_tail - self._cached_head
         if available <= 0:
-            self._cached_tail = _U64.unpack_from(self.buf, _TAIL)[0]
+            self._cached_tail = self._cursors[_TAIL]
             available = self._cached_tail - self._cached_head
         return available
 
@@ -165,7 +179,7 @@ class SpscRing:
     def advance(self, count: int = 1) -> None:
         """Mark *count* records fully processed (publishes head)."""
         self._cached_head += count
-        _U64.pack_into(self.buf, _HEAD, self._cached_head)
+        self._cursors[_HEAD] = self._cached_head
 
     def advance_local(self) -> None:
         """Consume one record *without* publishing the shared head.
@@ -180,12 +194,12 @@ class SpscRing:
 
     def commit_head(self) -> None:
         """Publish local head advances to the shared cursor."""
-        _U64.pack_into(self.buf, _HEAD, self._cached_head)
+        self._cursors[_HEAD] = self._cached_head
 
     def sync_consumer(self) -> None:
         """Re-read the shared head (after taking over a dead consumer)."""
-        self._cached_head = _U64.unpack_from(self.buf, _HEAD)[0]
-        self._cached_tail = _U64.unpack_from(self.buf, _TAIL)[0]
+        self._cached_head = self._cursors[_HEAD]
+        self._cached_tail = self._cursors[_TAIL]
 
     def sync_producer(self) -> None:
         """Re-read the shared tail (after taking over a dead producer).
@@ -194,19 +208,20 @@ class SpscRing:
         predecessor's last *published* record ended; a partially packed
         but unpublished slot is simply overwritten.
         """
-        self._cached_tail = _U64.unpack_from(self.buf, _TAIL)[0]
-        self._cached_head = _U64.unpack_from(self.buf, _HEAD)[0]
+        self._cached_tail = self._cursors[_TAIL]
+        self._cached_head = self._cursors[_HEAD]
 
     # -- lifecycle ----------------------------------------------------------
 
     def detach(self) -> None:
+        # The cursor view exports the mapping: release it before close.
+        self._cursors.release()
         self.buf = None
         self._shm.close()
 
     def destroy(self) -> None:
         """Close and unlink (creator side)."""
-        self.buf = None
-        self._shm.close()
+        self.detach()
         try:
             self._shm.unlink()
         except FileNotFoundError:

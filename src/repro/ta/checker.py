@@ -63,7 +63,8 @@ answers the same reachability/safety queries by explicit-state BFS.
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 
 from repro.ta.dbm import DBM, INF, LE_ZERO, encode
 from repro.ta.automaton import ClockConstraint, TimedAutomaton
@@ -109,6 +110,22 @@ def _negated(dual: CheckResult, query: str) -> CheckResult:
     the opposite answer."""
     return CheckResult(not dual.satisfied, query, dual.states_explored,
                        dual.witness)
+
+
+#: A stored state's parent link: ``(parent trail, step into the state)``,
+#: or None at the initial state.  One tuple per stored state, where a
+#: copied label list would cost the whole path.
+_Trail = Optional[Tuple[Any, ComposedStep]]
+
+
+def _witness(trail: _Trail) -> List[str]:
+    """The step labels from the initial state down *trail*."""
+    labels = []
+    while trail is not None:
+        trail, step = trail
+        labels.append(step.label)
+    labels.reverse()
+    return labels
 
 
 def _constraint_ops(network: Network, automaton: TimedAutomaton,
@@ -657,8 +674,12 @@ class ZoneGraphChecker:
     # -- exploration -------------------------------------------------------------
 
     def _explore(self, graph: _ZoneGraph
-                 ) -> Iterable[Tuple[NetworkState, _Layout, DBM, List[str]]]:
-        """Lazily enumerate reachable symbolic states with witness paths.
+                 ) -> Iterable[Tuple[NetworkState, _Layout, DBM, _Trail]]:
+        """Lazily enumerate reachable symbolic states with their trails.
+
+        A trail is the parent link of a stored state (see
+        :func:`_witness`): only the state a query stops at has its
+        witness spelled out, not every state stored on the way.
 
         Inclusion-checking: a new zone subsumed by an already-stored
         zone at the same discrete state is pruned.  In fast mode each
@@ -673,10 +694,10 @@ class ZoneGraphChecker:
             return
         stored: Dict[NetworkState, List[DBM]] = {
             initial_state: [initial_zone]}
-        queue = deque([(initial_state, initial_zone, [])])
-        yield initial_state, layout, initial_zone, []
+        queue = deque([(initial_state, initial_zone, None)])
+        yield initial_state, layout, initial_zone, None
         while queue:
-            state, zone, path = queue.popleft()
+            state, zone, trail = queue.popleft()
             for step, next_state, next_layout, next_zone in \
                     self._successors(state, layout, zone, graph):
                 existing = stored.setdefault(next_state, [])
@@ -685,21 +706,21 @@ class ZoneGraphChecker:
                 existing[:] = [old for old in existing
                                if not next_zone.includes(old)]
                 existing.append(next_zone)
-                next_path = path + [step.label]
-                yield next_state, next_layout, next_zone, next_path
-                queue.append((next_state, next_zone, next_path))
+                next_trail = (trail, step)
+                yield next_state, next_layout, next_zone, next_trail
+                queue.append((next_state, next_zone, next_trail))
 
     def _explore_fast(self, initial_state: NetworkState,
                       initial_layout: _Layout, initial_zone: DBM,
                       graph: _ZoneGraph
                       ) -> Iterable[Tuple[NetworkState, _Layout, DBM,
-                                          List[str]]]:
+                                          _Trail]]:
         stored: Dict[NetworkState, Dict[tuple, DBM]] = {
             initial_state: {initial_zone.key(): initial_zone}}
-        queue = deque([(initial_state, initial_layout, initial_zone, [])])
-        yield initial_state, initial_layout, initial_zone, []
+        queue = deque([(initial_state, initial_layout, initial_zone, None)])
+        yield initial_state, initial_layout, initial_zone, None
         while queue:
-            state, layout, zone, path = queue.popleft()
+            state, layout, zone, trail = queue.popleft()
             for step, next_state, next_layout, next_zone in \
                     self._successors(state, layout, zone, graph):
                 bucket = stored.setdefault(next_state, {})
@@ -714,9 +735,10 @@ class ZoneGraphChecker:
                 for key in subsumed:
                     del bucket[key]
                 bucket[zone_key] = next_zone
-                next_path = path + [step.label]
-                yield next_state, next_layout, next_zone, next_path
-                queue.append((next_state, next_layout, next_zone, next_path))
+                next_trail = (trail, step)
+                yield next_state, next_layout, next_zone, next_trail
+                queue.append((next_state, next_layout, next_zone,
+                              next_trail))
 
     # -- queries -----------------------------------------------------------------
 
@@ -724,10 +746,11 @@ class ZoneGraphChecker:
         """``E<> φ``: is some φ-state reachable?"""
         graph = self._graph(formula)
         explored = 0
-        for state, layout, zone, path in self._explore(graph):
+        for state, layout, zone, trail in self._explore(graph):
             explored += 1
             if self._holds(formula, state, layout, zone):
-                return CheckResult(True, f"E<> {formula}", explored, path)
+                return CheckResult(True, f"E<> {formula}", explored,
+                                   _witness(trail))
         return CheckResult(False, f"E<> {formula}", explored)
 
     def invariantly(self, formula: StateFormula) -> CheckResult:
@@ -765,7 +788,7 @@ class ZoneGraphChecker:
             raise ValueError("leads-to is restricted to location formulas")
         graph = self._graph(premise, conclusion)
         explored = 0
-        for state, layout, zone, path in self._explore(graph):
+        for state, layout, zone, trail in self._explore(graph):
             explored += 1
             if not self._holds(premise, state, layout, zone):
                 continue
@@ -775,7 +798,7 @@ class ZoneGraphChecker:
             if run is not None:
                 return CheckResult(
                     False, f"{premise} --> {conclusion}", explored,
-                    witness=path + run)
+                    witness=_witness(trail) + run)
         return CheckResult(True, f"{premise} --> {conclusion}", explored)
 
     def check(self, query: Query) -> CheckResult:

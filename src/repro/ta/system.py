@@ -7,7 +7,7 @@ pairs with exactly one receiving edge (``chan?``) in another automaton
 — UPPAAL's binary handshake semantics.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ta.automaton import ClockConstraint, Edge, TimedAutomaton
@@ -15,9 +15,21 @@ from repro.ta.automaton import ClockConstraint, Edge, TimedAutomaton
 
 @dataclass(frozen=True)
 class NetworkState:
-    """A discrete network state: one location name per automaton."""
+    """A discrete network state: one location name per automaton.
+
+    Equal by ``locations``.  The hash is computed once, at construction:
+    the checkers key every memo, visited set and search set by states,
+    and a generated ``__hash__`` would rehash the whole tuple each time.
+    """
 
     locations: Tuple[str, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.locations))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def location_of(self, index: int) -> str:
         return self.locations[index]

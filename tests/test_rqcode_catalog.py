@@ -1,7 +1,10 @@
 """Unit tests for the STIG catalogue and compliance reports."""
 
+import hashlib
+
 import pytest
 
+from repro.environment.host import SimulatedHost
 from repro.rqcode.catalog import StigCatalog, default_catalog
 from repro.rqcode.concepts import CheckStatus
 from repro.rqcode.ubuntu import V_219157
@@ -99,3 +102,20 @@ class TestEmptyCatalog:
         report = StigCatalog().check_host(ubuntu_default)
         assert report.total == 0
         assert report.compliance_ratio == 1.0
+
+
+class TestFindingDocuments:
+    #: blake2b-16 over every catalogue finding's ``to_document()``, in
+    #: finding-id order, captured before finding metadata was shared
+    #: between instances.
+    GOLDEN = "51443952eb90139836099a584a2eec78"
+
+    def test_every_document_is_unchanged(self):
+        catalog = default_catalog()
+        digest = hashlib.blake2b(digest_size=16)
+        for finding_id in catalog.finding_ids():
+            entry = catalog.get(finding_id)
+            host = SimulatedHost("h", entry.platform)
+            document = entry.instantiate(host).to_document()
+            digest.update(f"{finding_id}\n{document}\n\n".encode())
+        assert digest.hexdigest() == self.GOLDEN

@@ -149,6 +149,44 @@ class TestPolicyRunner:
         assert outcome.attempts == 0 and not attempted
 
 
+class TestBreakerBank:
+    def test_racing_gets_on_one_key_share_one_breaker(self, monkeypatch):
+        import repro.sched.policy as policy
+
+        built = []
+
+        class SlowBreaker(policy.CircuitBreaker):
+            # A slow constructor widens the window in which every
+            # racer has missed the key and waits to create it.
+            def __init__(self, **kwargs):
+                time.sleep(0.005)
+                super().__init__(**kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(policy, "CircuitBreaker", SlowBreaker)
+        bank = BreakerBank(failure_threshold=2, cooldown=3)
+        racers = 8
+        barrier = threading.Barrier(racers)
+        got = [None] * racers
+
+        def race(slot):
+            barrier.wait()
+            got[slot] = bank.get(("h1", "V-1"))
+
+        threads = [threading.Thread(target=race, args=(slot,))
+                   for slot in range(racers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(built) == 1
+        assert all(breaker is built[0] for breaker in got)
+        assert len(bank) == 1
+        assert (built[0].failure_threshold, built[0].cooldown) == (2, 3)
+        assert bank.get(("h1", "V-1")) is built[0]
+        assert bank.get(("h2", "V-1")) is not built[0]
+
+
 def _report_states(report: BatchReport):
     return {result.name: result.state for result in report.results}
 

@@ -11,6 +11,7 @@ quarantine carryover across worker processes.
 
 import multiprocessing
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +260,58 @@ class TestSpscRing:
             ring.close_producer()
             assert ring.closed
         finally:
+            ring.destroy()
+
+
+def _cursor_writer(name, capacity, slot, rounds):
+    """Writer process for :class:`TestCursorPublication`: drives head
+    through 6-byte carries and tail through plain increments."""
+    ring = SpscRing(capacity, slot, name=name)
+    ring.sync_consumer()
+    ring.sync_producer()
+    try:
+        for _ in range(rounds):
+            ring.advance(_LOW_MASK)     # head -> k * 2^48 + (2^48 - 1)
+            ring.publish()
+            ring.advance(1)             # head -> (k + 1) * 2^48: a carry
+            ring.publish()
+    finally:
+        ring.close_producer()
+        ring.detach()
+
+
+#: The writer's head values all have low 48 bits 0 or all ones.
+_LOW_MASK = (1 << 48) - 1
+
+
+class TestCursorPublication:
+    """Cursors cross processes whole: a reader never sees a cursor go
+    backwards or take a value the writer never stored."""
+
+    def test_cursors_are_monotonic_across_processes(self):
+        rounds = 60_000           # head stays below 2^64
+        ring = SpscRing(4, 16, create=True)
+        writer = multiprocessing.get_context("spawn").Process(
+            target=_cursor_writer,
+            args=(ring.name, ring.capacity, ring.slot, rounds))
+        try:
+            writer.start()
+            last_head = last_tail = moves = 0
+            deadline = time.monotonic() + 20.0
+            while not ring.closed and time.monotonic() < deadline:
+                head, tail = ring.head, ring.tail
+                assert head >= last_head and tail >= last_tail
+                assert head & _LOW_MASK in (0, _LOW_MASK)
+                moves += head != last_head
+                last_head, last_tail = head, tail
+            writer.join(timeout=10.0)
+            assert writer.exitcode == 0
+            assert ring.head == rounds << 48
+            assert ring.tail == 2 * rounds
+            assert moves >= 10          # the reader raced the writer
+        finally:
+            if writer.is_alive():
+                writer.kill()
             ring.destroy()
 
 

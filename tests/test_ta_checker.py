@@ -11,6 +11,7 @@ from repro.ta import (
     Edge,
     Location,
     Network,
+    NetworkState,
     TimedAutomaton,
     ZoneGraphChecker,
     parse_guard,
@@ -127,6 +128,31 @@ class TestNetwork:
                 for name in ("Lamp", "User")] == [0, 1]
         with pytest.raises(KeyError, match="no automaton named 'Door'"):
             network.automaton_index("Door")
+
+    def test_states_hash_and_compare_by_locations(self):
+        first = NetworkState(("idle", "busy"))
+        # Built from a separate tuple object with the same names.
+        second = NetworkState(tuple(["idle"] + ["bu" + "sy"]))
+        other = NetworkState(("busy", "idle"))
+        assert first.locations is not second.locations
+        assert first == second and hash(first) == hash(second)
+        assert first != other
+        table = {first: "a", other: "b"}
+        assert table[second] == "a"
+        assert second in table and len({first, second, other}) == 2
+        assert repr(first) == "NetworkState(locations=('idle', 'busy'))"
+        with pytest.raises(AttributeError):
+            first.locations = ("busy", "busy")
+
+    def test_states_from_separate_enumerations_share_keys(self):
+        network = lamp_network()
+        seen = {step.target: step.label
+                for step in network.discrete_steps(network.initial_state())}
+        again = [step.target
+                 for step in network.discrete_steps(network.initial_state())]
+        assert again and all(target in seen for target in again)
+        assert network.initial_state() == NetworkState(
+            tuple(list(network.initial_state().locations)))
 
 
 class TestQueryParsing:
