@@ -25,7 +25,7 @@ import time
 
 from repro.chaos import FaultPlan, run_campaign, run_chaos_scenario
 from repro.scenarios import generated_scenarios, get_scenario
-from repro.soc import RetryPolicy
+from repro.sched.policy import RetryPolicy
 
 from bench_utils import write_bench_json
 from conftest import print_table

@@ -29,12 +29,11 @@ Entry points: ``Fleet.arm_soc(...)`` from :mod:`repro.core.fleet`, the
 ``repro soc`` CLI subcommand, and benchmark E12.
 """
 
-from repro.sched.breaker import BreakerState, CircuitBreaker
-from repro.soc.incidents import IncidentPipeline, RetryPolicy
+from repro.soc.incidents import IncidentPipeline
 from repro.soc.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.soc.quarantine import DeadLetter, DeadLetterQueue, Quarantine
 from repro.soc.queues import Backpressure, PutResult, QueueClosed, ShardQueue
-from repro.soc.report import render_json, render_report, run_summary
+from repro.soc.report import render_report, run_summary
 from repro.soc.service import SocService, arm_soc
 from repro.soc.sessions import Detection, MonitorSession
 from repro.soc.sharding import HashRing, stable_hash
@@ -43,8 +42,6 @@ from repro.soc.workers import ShardWorker
 
 __all__ = [
     "Backpressure",
-    "BreakerState",
-    "CircuitBreaker",
     "Counter",
     "DeadLetter",
     "DeadLetterQueue",
@@ -58,13 +55,11 @@ __all__ = [
     "PutResult",
     "Quarantine",
     "QueueClosed",
-    "RetryPolicy",
     "ShardQueue",
     "ShardWorker",
     "SocService",
     "WorkerSupervisor",
     "arm_soc",
-    "render_json",
     "render_report",
     "run_summary",
     "stable_hash",

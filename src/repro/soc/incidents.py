@@ -19,8 +19,8 @@ bound RQCODE findings, hardened for operations:
   instead of propagating up and killing the shard worker.
 
 All of that budget machinery is the scheduler's unified policy stack
-(:mod:`repro.sched.policy`): :class:`RetryPolicy` lives there now
-(re-exported here for compatibility), the breakers come from a
+(:mod:`repro.sched.policy`): the :class:`~repro.sched.policy.RetryPolicy`
+budget is the scheduler's, the breakers come from a
 :class:`~repro.sched.policy.BreakerBank`, and every enforcement runs
 through one :class:`~repro.sched.policy.PolicyRunner` — this module
 keeps only the SOC-specific parts (what an attempt *does*, which
@@ -50,7 +50,7 @@ from repro.sched.policy import BreakerBank, PolicyRunner, RetryPolicy
 from repro.soc.metrics import Counter, Histogram, MetricsRegistry
 from repro.soc.sessions import Detection
 
-__all__ = ["IncidentPipeline", "RetryPolicy"]
+__all__ = ["IncidentPipeline"]
 
 #: Precheck verdicts, built once: most incidents on a drift-dense fleet
 #: settle here (one drift trips every detector watching its kind, and

@@ -6,12 +6,11 @@ readable digest of a run) renders through here.  Two output shapes:
 * :func:`render_report` — the aligned text report, now including a
   degradation section (dead letters, worker crashes/restarts,
   reconcile sweeps, chaos injections) when a run exercised any of it;
-* :func:`run_summary` / :func:`render_json` — the same facts as a
+* :func:`run_summary` — the same facts as a
   plain-data document that round-trips through ``json`` losslessly,
   for machine consumers and the CLI's ``--json`` flag.
 """
 
-import json
 from typing import Dict, List, Sequence
 
 from repro.core.protection import Incident
@@ -114,11 +113,6 @@ def run_summary(service: SocService) -> Dict[str, object]:
             "decisions_digest": service.chaos.decisions_digest(),
         }
     return summary
-
-
-def render_json(service: SocService, indent: int = 2) -> str:
-    """The :func:`run_summary` document serialized as JSON."""
-    return json.dumps(run_summary(service), indent=indent, sort_keys=True)
 
 
 def render_report(service: SocService, title: str = "SOC run") -> str:

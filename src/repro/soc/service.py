@@ -46,7 +46,8 @@ from repro.environment.host import SimulatedHost
 from repro.ltl.monitor import LtlMonitor
 from repro.rqcode.catalog import StigCatalog
 from repro.rqcode.concepts import CheckStatus
-from repro.soc.incidents import IncidentPipeline, RetryPolicy
+from repro.sched.policy import RetryPolicy
+from repro.soc.incidents import IncidentPipeline
 from repro.soc.metrics import MetricsRegistry
 from repro.soc.quarantine import DeadLetterQueue, Quarantine
 from repro.soc.queues import Backpressure, PutResult, QueueClosed, ShardQueue

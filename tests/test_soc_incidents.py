@@ -5,7 +5,8 @@ from repro.environment.host import SimulatedHost
 from repro.rqcode.catalog import StigCatalog
 from repro.rqcode.concepts import CheckStatus, EnforcementStatus
 from repro.sched.breaker import BreakerState
-from repro.soc.incidents import IncidentPipeline, RetryPolicy
+from repro.sched.policy import RetryPolicy
+from repro.soc.incidents import IncidentPipeline
 from repro.soc.metrics import MetricsRegistry
 from repro.soc.sessions import Detection
 
