@@ -18,6 +18,7 @@ loaders they share live in :mod:`repro.cli.common`.
 """
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -43,4 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args, out if out is not None else sys.stdout)
+    try:
+        code = args.func(args, out if out is not None else sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro reqs list | head``).
+        # Point stdout at devnull so the interpreter's final flush
+        # cannot raise again, and fail quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code

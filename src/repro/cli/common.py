@@ -74,9 +74,9 @@ FLAGS: Dict[str, dict] = {
                            help="shared remote verdict store: a directory "
                                 "of sharded verdict buckets concurrent CI "
                                 "runs read through and write back to"),
-    "--crash-after": dict(type=int, default=None, metavar="N",
-                          help="inject a scheduler crash after N fresh "
-                               "journaled completions (exit 3)"),
+    "--crash-after": count(None, metavar="N",
+                           help="inject a scheduler crash after N fresh "
+                                "journaled completions (exit 3)"),
 }
 
 

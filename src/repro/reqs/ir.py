@@ -16,7 +16,7 @@ Design invariants:
   no-whitespace serialization; :meth:`Requirement.fingerprint` is a
   blake2b digest over it.  The digest is a pure function of content:
   field order at construction, dict insertion order and process
-  identity never leak in.
+  identity never leak in.  Each instance computes it once.
 * **Provenanced** — every record carries a non-empty source chain
   (enforced by the registry's lint; see :mod:`repro.reqs.registry`),
   so any artifact in the pipeline can be traced back to the CVE, STIG
@@ -106,6 +106,14 @@ def _params_tuple(value) -> Tuple[Tuple[str, Any], ...]:
     return tuple(sorted((str(k), v) for k, v in items))
 
 
+def _field_values(obj) -> Dict[str, Any]:
+    """A pattern's or scope's fields by name.  Their values are plain
+    strings and ints, so ``dataclasses.asdict``'s deep copy is not
+    needed."""
+    return {field.name: getattr(obj, field.name)
+            for field in dataclasses.fields(obj)}
+
+
 @dataclass(frozen=True)
 class Formalization:
     """The formal payload of a requirement.
@@ -137,11 +145,9 @@ class Formalization:
                      ltl: str = "", tctl: str = "") -> "Formalization":
         return cls(
             pattern_kind=type(pattern).__name__ if pattern else "",
-            pattern_params=(_params_tuple(dataclasses.asdict(pattern))
-                            if pattern else ()),
+            pattern_params=_field_values(pattern) if pattern else (),
             scope_kind=type(scope).__name__ if scope else "",
-            scope_params=(_params_tuple(dataclasses.asdict(scope))
-                          if scope else ()),
+            scope_params=_field_values(scope) if scope else (),
             ltl=ltl,
             tctl=tctl,
         )
@@ -270,8 +276,22 @@ class Requirement:
 
     def fingerprint(self) -> str:
         """Content address of the full record (id and provenance
-        included) — what the prevention cache keys on."""
-        return _digest(self.canonical_json())
+        included) — what the prevention cache keys on.
+
+        Digested once per instance: the record is immutable, so the
+        digest is cached on it, outside the dataclass fields (equality,
+        hashing, ``repr`` and pickling never see it).
+        """
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            digest = _digest(self.canonical_json())
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
     def content_fingerprint(self) -> str:
         """Content address of the *normative* content only.

@@ -12,13 +12,14 @@ into protection — needs two things the batch path doesn't have:
   (:class:`ReqStream` -> :class:`StreamDelta`), so re-arming touches
   only affected hosts instead of restarting the world.
 
-Change detection is O(1) per record: armed records are indexed by rid
-with their blake2b content :meth:`~repro.reqs.ir.Requirement.fingerprint`
-cached, so an unchanged record is one dict probe and one string
-compare.  Whether a *changed* record needs a fresh monitor (formula
-changed) or only new bindings is likewise an identity check downstream,
-because compiled LTL formulas are hash-consed
-(:mod:`repro.ltl.compile`): ``parse(old) is parse(new)``.
+Change detection is O(1) per record: armed records are indexed by rid,
+and each record digests its blake2b content
+:meth:`~repro.reqs.ir.Requirement.fingerprint` once and caches it, so
+an unchanged record is one dict probe and one string compare, and
+committing a delta digests nothing.  Whether a *changed* record needs
+a fresh monitor (formula changed) or only new bindings is likewise an
+identity check downstream, because compiled LTL formulas are
+hash-consed (:mod:`repro.ltl.compile`): ``parse(old) is parse(new)``.
 """
 
 import threading
@@ -113,12 +114,6 @@ class StreamDelta:
                 "rejected": len(self.rejected)}
 
 
-@dataclass
-class _Armed:
-    record: Requirement
-    fingerprint: str
-
-
 class ReqStream:
     """The armed requirement set, diffed against incoming IR.
 
@@ -133,11 +128,10 @@ class ReqStream:
     """
 
     def __init__(self, armed: Iterable[Requirement] = ()):
-        self._armed: Dict[str, _Armed] = {}
+        self._armed: Dict[str, Requirement] = {
+            record.rid: record for record in armed}
         self._generation = 0
         self._lock = threading.Lock()
-        for record in armed:
-            self._armed[record.rid] = _Armed(record, record.fingerprint())
 
     def __len__(self) -> int:
         return len(self._armed)
@@ -151,11 +145,10 @@ class ReqStream:
 
     def armed(self) -> List[Requirement]:
         with self._lock:
-            return [entry.record for entry in self._armed.values()]
+            return list(self._armed.values())
 
     def get(self, rid: str) -> Optional[Requirement]:
-        entry = self._armed.get(rid)
-        return entry.record if entry else None
+        return self._armed.get(rid)
 
     def diff(self, items: Iterable[Union[Requirement, RejectedNative]],
              remove_rids: Iterable[str] = ()) -> StreamDelta:
@@ -179,14 +172,14 @@ class ReqStream:
         unchanged = 0
         with self._lock:
             for rid, record in upserts.items():
-                entry = self._armed.get(rid)
-                if entry is None:
+                old = self._armed.get(rid)
+                if old is None:
                     added.append(record)
-                elif entry.fingerprint == record.fingerprint():
+                elif old.fingerprint() == record.fingerprint():
                     unchanged += 1
                 else:
-                    changed.append((entry.record, record))
-            removed = [self._armed[rid].record
+                    changed.append((old, record))
+            removed = [self._armed[rid]
                        for rid in dict.fromkeys(remove_rids)
                        if rid in self._armed and rid not in upserts]
             return StreamDelta(
@@ -199,11 +192,9 @@ class ReqStream:
         """Fold an *applied* delta into the armed bookkeeping."""
         with self._lock:
             for record in delta.added:
-                self._armed[record.rid] = _Armed(record,
-                                                 record.fingerprint())
+                self._armed[record.rid] = record
             for _, record in delta.changed:
-                self._armed[record.rid] = _Armed(record,
-                                                 record.fingerprint())
+                self._armed[record.rid] = record
             for record in delta.removed:
                 self._armed.pop(record.rid, None)
             self._generation = max(self._generation, delta.generation)

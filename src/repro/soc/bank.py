@@ -73,18 +73,25 @@ class MonitorBank:
         self._unfile(req_id)
         if empty_step_stable(obligation):
             atoms = obligation.atoms()
+            watch = self._watch
             for atom in atoms:
-                self._watch.setdefault(atom, set()).add(req_id)
+                watchers = watch.get(atom)
+                if watchers is None:
+                    watch[atom] = {req_id}
+                else:
+                    watchers.add(req_id)
             self._filed[req_id] = atoms
         else:
             self._always.add(req_id)
 
     # -- live re-arming ----------------------------------------------------------
 
-    def patch(self, add: Iterable[Tuple[str, LtlMonitor]] = (),
+    def patch(self, add: Iterable[Tuple] = (),
               remove: Iterable[str] = ()) -> None:
         """Apply one re-arm delta between two events of the stream.
 
+        *add* holds ``(req_id, monitor, ...)`` entries; anything past
+        the monitor (a session patch's bindings) is not the bank's.
         Removals go first, so a req_id both removed and added is
         replaced.  Added monitors enter fresh; monitors not named keep
         their obligation state (and their place in the routing index) —
@@ -93,8 +100,10 @@ class MonitorBank:
         for req_id in remove:
             if self.monitors.pop(req_id, None) is not None:
                 self._unfile(req_id)
-        for req_id, monitor in add:
-            self.monitors[req_id] = monitor
+        monitors = self.monitors
+        for entry in add:
+            req_id = entry[0]
+            monitors[req_id] = entry[1]
             self._classify(req_id)
 
     # -- observation -------------------------------------------------------------

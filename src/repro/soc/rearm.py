@@ -35,11 +35,14 @@ the equivalence the E18 property test pins down.
 
 Planning happens once per delta record per **platform**, not per
 host: a plan reads nothing of a host but its ``os_family``, so the
-Rearmer plans each record on one host of each platform and derives
-every other host's entries from that plan.  Monitors are the
-exception: they carry per-host obligation state, so each host that
-gets one gets a fresh :class:`~repro.ltl.compile.CompiledMonitor` of
-its own — no monitor object is ever shared between two hosts.
+Rearmer plans each record on one host of each platform, and folds the
+delta's per-platform diffs into one patch template per platform (its
+adds, removes and rebinds, in delta order).  Each host's patch is read
+off its platform's template: the remove and rebind tuples are shared
+by every host of the platform.  Monitors are the exception: they carry
+per-host obligation state, so each host that gets one gets a fresh
+:class:`~repro.ltl.compile.CompiledMonitor` of its own — no monitor
+object is ever shared between two hosts.
 LTL texts are parsed once per process (``parse_ltl`` is memoized), so
 the cold per-host :func:`plan_for_records` is cheap too.
 """
@@ -47,6 +50,7 @@ the cold per-host :func:`plan_for_records` is cheap too.
 import functools
 import itertools
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -183,7 +187,18 @@ def _diff_entries(olds, news):
 
 @dataclass
 class RearmReport:
-    """What one delta application actually did."""
+    """What one delta application actually did.
+
+    ``timings`` holds the wall seconds of the apply's four stages, which
+    tile the call apart from any wait for a concurrent apply's lock:
+    ``plan`` (each delta record planned per platform, risk refreshed
+    and sorted), ``build`` (the per-platform templates, each host's
+    patch and ``soc.plans``), ``deliver`` (patches applied in place on
+    idle shards, queued on busy ones) and ``wait`` (drain plus token
+    verification, summed over re-send rounds).  On the process backend
+    ``deliver`` includes the wait for the workers' REARMED echoes and
+    ``wait`` reads 0.  An empty delta records none.
+    """
 
     generation: int
     backend: str
@@ -194,6 +209,7 @@ class RearmReport:
     #: Monitors left entirely alone (obligation state preserved).
     monitors_kept: int = 0
     tokens: List[int] = field(default_factory=list)
+    timings: Dict[str, float] = field(default_factory=dict)
 
     def summary(self) -> Dict[str, int]:
         return {"generation": self.generation,
@@ -288,8 +304,9 @@ class Rearmer:
         backend: drain + token verification with bounded re-sends for
         drop-oldest displacement; process backend: REARMED echo).
 
-        Each delta record is planned once per platform; every host
-        that gets an add receives a monitor of its own.
+        Each delta record is planned once per platform, and the delta
+        folds into one patch template per platform; every host that
+        gets an add receives a monitor of its own.
 
         The caller commits the delta into its :class:`ReqStream`
         afterwards; on failure the stream bookkeeping is untouched and
@@ -299,6 +316,7 @@ class Rearmer:
                              backend=self.soc.backend)
         if delta.empty:
             return report
+        started = time.perf_counter()
         groups = self._hosts_by_platform()
         planned = self._planned_records(delta, groups)
         self._refresh_risk(delta, planned, groups)
@@ -307,45 +325,74 @@ class Rearmer:
             planned.sort(key=lambda entry: (
                 -self.risk.score_for((entry[1] or entry[0]).rid),
                 (entry[1] or entry[0]).rid))
-
-        # host -> (add entries, remove req_ids, rebind entries)
-        patches: Dict[str, Tuple[list, list, list]] = {}
+        timings = report.timings
+        timings["plan"] = time.perf_counter() - started
 
         with self._lock:
-            for old, _, old_plan, new_plan in planned:
-                for platform in sorted(set(old_plan) | set(new_plan)):
-                    adds, removes, rebinds, kept = _diff_entries(
-                        old_plan.get(platform, {}),
-                        new_plan.get(platform, {}))
-                    names = groups[platform]
-                    for host_name in names:
-                        host_adds, host_removes, host_rebinds = \
-                            patches.setdefault(host_name, ([], [], []))
-                        host_removes.extend(removes)
-                        host_rebinds.extend(rebinds)
-                        for req_id, formula, finding_ids in adds:
-                            if old is None and req_id in \
-                                    self.soc.plans[host_name][0]:
-                                # An "added" record colliding with an
-                                # armed req_id replaces it fresh.
-                                report.monitors_removed += 1
-                            # Monitors carry per-host obligation state:
-                            # every host gets one of its own.
-                            host_adds.append((req_id,
-                                              CompiledMonitor(formula),
-                                              finding_ids))
-                    report.monitors_added += len(adds) * len(names)
-                    report.monitors_removed += len(removes) * len(names)
-                    report.monitors_rebound += len(rebinds) * len(names)
-                    report.monitors_kept += kept * len(names)
+            started = time.perf_counter()
+            patches = self._host_patches(
+                self._templates(planned, groups, report), groups, report)
             report.hosts_patched = len(patches)
             self._update_plans(patches)
+            timings["build"] = time.perf_counter() - started
+            timings["deliver"] = timings["wait"] = 0.0
             if self.soc._proc is not None:
+                started = time.perf_counter()
                 self._apply_process(patches, timeout)
+                timings["deliver"] = time.perf_counter() - started
             else:
                 self._apply_thread(patches, report, wait, timeout)
         self.soc.metrics.counter("soc.rearm.generations").inc()
         return report
+
+    @staticmethod
+    def _templates(planned, groups: Dict[str, List[str]],
+                   report: RearmReport) -> Dict[str, Tuple[list, ...]]:
+        """One patch template per platform: ``(adds, fresh, removes,
+        rebinds)`` in delta order, where *adds* are ``(req_id, formula,
+        bindings)`` and *fresh* the added req_ids of records new to the
+        stream.  Counts every host's monitors into *report*."""
+        templates: Dict[str, Tuple[list, ...]] = {}
+        for old, _, old_plan, new_plan in planned:
+            for platform in sorted(old_plan.keys() | new_plan.keys()):
+                adds, removes, rebinds, kept = _diff_entries(
+                    old_plan.get(platform, {}), new_plan.get(platform, {}))
+                t_adds, fresh, t_removes, t_rebinds = templates.setdefault(
+                    platform, ([], [], [], []))
+                t_adds += adds
+                t_removes += removes
+                t_rebinds += rebinds
+                if old is None:
+                    fresh += [req_id for req_id, _, _ in adds]
+                hosts = len(groups[platform])
+                report.monitors_added += len(adds) * hosts
+                report.monitors_removed += len(removes) * hosts
+                report.monitors_rebound += len(rebinds) * hosts
+                report.monitors_kept += kept * hosts
+        return templates
+
+    def _host_patches(self, templates, groups: Dict[str, List[str]],
+                      report: RearmReport) -> Dict[str, Tuple[tuple, ...]]:
+        """host -> ``(adds, removes, rebinds)`` read off its platform's
+        template.  Every host gets monitors of its own, since they carry
+        per-host obligation state; the remove and rebind tuples are
+        shared."""
+        plans = self.soc.plans
+        patches: Dict[str, Tuple[tuple, ...]] = {}
+        for platform, (adds, fresh, removes, rebinds) in templates.items():
+            removes, rebinds = tuple(removes), tuple(rebinds)
+            for host_name in groups[platform]:
+                if fresh:
+                    # An "added" record colliding with an armed req_id
+                    # replaces it fresh.
+                    armed = plans[host_name][0]
+                    report.monitors_removed += sum(
+                        1 for req_id in fresh if req_id in armed)
+                patches[host_name] = (
+                    tuple([(req_id, CompiledMonitor(formula), finding_ids)
+                           for req_id, formula, finding_ids in adds]),
+                    removes, rebinds)
+        return patches
 
     def _update_plans(self, patches) -> None:
         """Keep ``soc.plans`` authoritative for restarts/manifests."""
@@ -365,21 +412,19 @@ class Rearmer:
 
     # -- thread backend ------------------------------------------------------
 
-    def _session_patch(self, host_name: str,
-                       ops: Tuple[list, list, list]) -> SessionPatch:
-        # Finding ids are already tuples: monitor_entries plans them so.
-        adds, removes, rebinds = ops
-        return SessionPatch(host_name=host_name, token=next(self._tokens),
-                            add=tuple(adds), remove=tuple(removes),
-                            rebind=tuple(rebinds))
-
     def _apply_thread(self, patches, report: RearmReport,
                       wait: bool, timeout: float) -> None:
+        started = time.perf_counter()
         sent = self.soc.metrics.counter("soc.rearm.patches_sent")
         placement = self.soc._placement
-        outstanding = [self._session_patch(host_name, ops)
-                       for host_name, ops in sorted(patches.items())]
+        # Finding ids are already tuples: monitor_entries plans them so.
+        outstanding = [SessionPatch(host_name=host_name,
+                                    token=next(self._tokens), add=adds,
+                                    remove=removes, rebind=rebinds)
+                       for host_name, (adds, removes, rebinds)
+                       in sorted(patches.items())]
         report.tokens = [patch.token for patch in outstanding]
+        timings = report.timings
         # One item per shard carries the patches of all its hosts.  An
         # idle shard gets it applied in place, a busy one queued behind
         # its backlog.  Bounded re-sends: under drop-oldest backpressure
@@ -404,6 +449,8 @@ class Rearmer:
                             f"rearm: shard queue {shard} closed "
                             f"(service stopping?)")
                 sent.inc(len(shard_patches))
+            delivered = time.perf_counter()
+            timings["deliver"] += delivered - started
             if not wait:
                 return
             self.soc.drain()
@@ -411,6 +458,8 @@ class Rearmer:
                 patch for patch in outstanding
                 if patch.token not in
                 self.soc.sessions[patch.host_name]._patched]
+            started = time.perf_counter()
+            timings["wait"] += started - delivered
             if not outstanding:
                 return
         raise RuntimeError(

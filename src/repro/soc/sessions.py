@@ -107,9 +107,7 @@ class MonitorSession(MonitorBank):
         """
         if patch.token in self._patched:
             return False
-        self.patch(add=[(req_id, monitor)
-                        for req_id, monitor, _ in patch.add],
-                   remove=patch.remove)
+        self.patch(add=patch.add, remove=patch.remove)
         for req_id in patch.remove:
             self.bindings.pop(req_id, None)
         for req_id, _, finding_ids in patch.add:

@@ -3,11 +3,17 @@ a scenario's exit status does not depend on ``--json``."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.scenarios.topology import FleetTopology
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -29,6 +35,11 @@ COUNTS = [
      "repro reqs lower: --batch must be >= 1"),
     (("sched", "run", "--journal", "unused.jsonl", "--jobs", "0"),
      "repro sched run: --jobs must be >= 1"),
+    (("sched", "run", "--journal", "unused.jsonl", "--crash-after", "0"),
+     "repro sched run: --crash-after must be >= 1"),
+    (("sched", "resume", "--journal", "unused.jsonl",
+      "--crash-after", "-2"),
+     "repro sched resume: --crash-after must be >= 1"),
 ]
 
 
@@ -69,3 +80,18 @@ class TestDescribeExitStatus:
                                "--json")
         assert code == 1
         assert json.loads(output)["name"] == "zoned-depth"
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # The JSON listing outgrows a pipe buffer, so the CLI is still
+    # writing when the reader goes away after one line.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "reqs", "list", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr

@@ -8,10 +8,12 @@ lint rejects provenance-free records at the adapter boundary.
 """
 
 import json
+import pickle
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.reqs.ir import (
     Formalization,
@@ -20,6 +22,7 @@ from repro.reqs.ir import (
     Requirement,
     SEVERITIES,
     TARGET_KINDS,
+    _digest,
     dedupe,
 )
 from repro.reqs.registry import (
@@ -321,3 +324,89 @@ class TestSchemaVersioning:
         ir = golden_requirement()
         assert "ir_version" not in ir.to_dict()
         assert ir.fingerprint() == golden_requirement().fingerprint()
+
+
+# -- the once-per-record fingerprint ------------------------------------------
+
+_words = st.text(alphabet=st.characters(min_codepoint=32,
+                                        max_codepoint=0x2FF),
+                 min_size=1, max_size=12)
+_params = st.dictionaries(st.sampled_from("pqrs"),
+                          st.one_of(_words, st.integers(0, 99)),
+                          max_size=3)
+# Params travel only with a kind: ``to_dict`` drops a kind-less half.
+_formalizations = st.one_of(
+    st.builds(Formalization, pattern_kind=st.sampled_from(["Response"]),
+              pattern_params=_params,
+              scope_kind=st.sampled_from(["AfterQ"]), scope_params=_params,
+              ltl=st.text(max_size=20), tctl=st.text(max_size=20)),
+    st.builds(Formalization, ltl=st.text(max_size=20)))
+_records = st.builds(
+    Requirement, rid=_words, title=st.text(max_size=20), text=_words,
+    source=_words,
+    provenance=st.lists(st.builds(Provenance, kind=_words, ref=_words,
+                                  detail=st.text(max_size=10)),
+                        max_size=3),
+    target_kind=st.sampled_from(TARGET_KINDS),
+    severity=st.sampled_from(SEVERITIES),
+    formalization=st.one_of(st.none(), _formalizations),
+    tags=st.lists(_words, max_size=3), bindings=st.lists(_words, max_size=3))
+
+
+class TestCachedFingerprint:
+    """``fingerprint()`` digests each record once; the cached digest is
+    the reference digest and is invisible to everything else."""
+
+    def test_every_lowered_record_digests_its_canonical_json(self):
+        for records in default_registry().lower_all_bundled().values():
+            for record in records:
+                digest = record.fingerprint()
+                assert digest == _digest(record.canonical_json())
+                assert record.fingerprint() == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(record=_records)
+    def test_built_records_digest_their_canonical_json(self, record):
+        assert record.fingerprint() == _digest(record.canonical_json())
+
+    @settings(max_examples=40, deadline=None)
+    @given(record=_records)
+    def test_cache_leaves_equality_hash_dict_and_pickle_alone(self,
+                                                              record):
+        twin = Requirement.from_dict(record.to_dict())
+        pickled = pickle.dumps(record)
+        digest = record.fingerprint()
+        assert record == twin and hash(record) == hash(twin)
+        assert record.to_dict() == twin.to_dict()
+        assert repr(record) == repr(twin)
+        assert pickle.dumps(record) == pickled
+        restored = pickle.loads(pickled)
+        assert restored == record
+        assert restored.fingerprint() == digest
+        edited = replace(record, text=record.text + "!")
+        assert edited.fingerprint() == _digest(edited.canonical_json())
+        assert edited.fingerprint() != digest
+
+    def test_commit_computes_no_digest(self, monkeypatch):
+        from repro.reqs import ir
+        from repro.reqs.stream import ReqStream
+
+        armed = list(default_registry().lower_bundled("vulndb"))
+        stream = ReqStream(armed[:-2])
+        delta = stream.diff(
+            [replace(armed[0], text=armed[0].text + " (revised)"),
+             armed[1], armed[-1], golden_requirement()],
+            remove_rids=[armed[2].rid])
+        assert (len(delta.added), len(delta.changed), len(delta.removed),
+                delta.unchanged) == (2, 1, 1, 1)
+        calls = []
+        digest = ir._digest
+
+        def counting(payload):
+            calls.append(payload)
+            return digest(payload)
+
+        monkeypatch.setattr(ir, "_digest", counting)
+        stream.commit(delta)
+        assert calls == []
+        assert stream.diff(stream.armed()).unchanged == len(stream)

@@ -7,6 +7,12 @@ same final verdicts as a cold service armed from the resulting IR set
 — on both backends, with and without chaos.
 """
 
+import contextlib
+import dataclasses
+import json
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.chaos import ChaosController, FaultPlan, check_invariants
@@ -23,6 +29,7 @@ from repro.soc.rearm import (
     plan_for_records,
 )
 from repro.soc.service import SocService
+from repro.soc.sessions import MonitorSession
 
 CATALOG = default_catalog()
 UBUNTU_FINDINGS = [f for f in CATALOG.finding_ids()
@@ -411,6 +418,30 @@ class TestRearmer:
         soc.stop()
         assert len(tokens) == len(set(tokens)) == 4
 
+    def test_report_times_the_four_stages(self):
+        records = [rec("R-1", UBUNTU_FINDINGS[:2])]
+        hosts = build_hosts(ubuntu=2)
+        soc = arm(records, hosts)
+        rearmer = Rearmer(soc)
+        stream = ReqStream(records)
+        assert rearmer.apply(stream.diff(records)).timings == {}
+        for wait, fids in ((True, UBUNTU_FINDINGS[2:4]),
+                           (False, UBUNTU_FINDINGS[4:6])):
+            delta = stream.diff([rec("R-1", fids)])
+            began = time.perf_counter()
+            report = rearmer.apply(delta, wait=wait)
+            elapsed = time.perf_counter() - began
+            stream.commit(delta)
+            timings = report.timings
+            assert sorted(timings) == ["build", "deliver", "plan", "wait"]
+            assert all(seconds >= 0.0 for seconds in timings.values())
+            assert sum(timings.values()) <= elapsed
+            assert (timings["wait"] > 0.0) == wait
+            assert list(report.summary()) == [
+                "generation", "hosts_patched", "added", "removed",
+                "rebound", "kept"]
+        soc.stop()
+
 
 # -- planning once per platform -----------------------------------------------
 
@@ -669,3 +700,180 @@ class TestThreadDelivery:
                     if ids} == watch
             assert session._always == always
         assert check_invariants(soc).violations == []
+
+
+# -- the re-arm transcript ----------------------------------------------------
+#
+# Every patch each host receives, every RearmReport count and every
+# ``soc.plans`` entry over a fixed sequence of deltas on a mixed fleet,
+# against a golden.  Regenerate it only for an intended change to what
+# re-arming does:
+#
+#     PYTHONPATH=src python -m tests.test_soc_rearm > tests/data/rearm_transcript.json
+
+TRANSCRIPT = Path(__file__).parent / "data" / "rearm_transcript.json"
+
+
+def nl_rec(slot, pool_index):
+    """NL statement *pool_index* RESA-lowered under the rid ``NL-<slot>``."""
+    from repro.reqs import default_registry
+    from repro.scenarios.library import NL_TEMPLATE_POOL
+
+    [record] = default_registry().lower_iter(
+        "resa", [NL_TEMPLATE_POOL[pool_index]], ids=lambda: f"NL-{slot}")
+    return record
+
+
+def transcript_records():
+    """The armed set, the deltas, and a record the SOC arms but the
+    stream does not know (``K-1``: its later "add" collides)."""
+    base = {
+        "S-1": rec("S-1", UBUNTU_FINDINGS[:2] + WINDOWS_FINDINGS[:2]),
+        "X-1": rec("X-1", PACKAGE_FINDINGS[:1]),
+        "Y-1": rec("Y-1", PACKAGE_FINDINGS[1:2]),
+        "W-1": rec("W-1", WINDOWS_FINDINGS[3:5]),
+        "P-1": ltl_rec("P-1", "G (custom.req -> X custom.ack)"),
+        "NL-0": nl_rec(0, 0),
+        "NL-1": nl_rec(1, 1),
+    }
+    hidden = rec("K-1", UBUNTU_FINDINGS[5:6])
+    steps = [
+        # NL slot change, drift-class flip, unchanged re-announcements.
+        ("nl-flip", [nl_rec(0, 2), rec("X-1", CONFIG_FINDINGS[:1]),
+                     base["S-1"], base["P-1"]], []),
+        # A rebind (state kept); an NL slot that lowers to no monitor;
+        # an equal record re-sent as a fresh object.
+        ("rebind", [rec("Y-1", PACKAGE_FINDINGS[1:3]), nl_rec(1, 6),
+                    rec("W-1", WINDOWS_FINDINGS[3:5])], []),
+        # Only the text moves: every entry kept, yet every host of both
+        # platforms gets an (empty) patch and a token.
+        ("all-kept", [dataclasses.replace(base["S-1"],
+                                          text="requirement S-1, v2")],
+         []),
+        ("remove", [], ["P-1", "W-1", "NOT-ARMED"]),
+        # K-1 is armed but unknown to the stream: an added record that
+        # collides with an armed req_id, replaced fresh.
+        ("collide", [hidden, rec("W-2", WINDOWS_FINDINGS[5:7]),
+                     nl_rec(0, 0)], []),
+    ]
+    return list(base.values()), hidden, steps
+
+
+@contextlib.contextmanager
+def recorded_patches():
+    """Every :class:`SessionPatch` a session applies, by host name."""
+    seen = {}
+    original = MonitorSession.apply_patch
+
+    def recording(session, patch):
+        seen.setdefault(patch.host_name, []).append(patch)
+        return original(session, patch)
+
+    MonitorSession.apply_patch = recording
+    try:
+        yield seen
+    finally:
+        MonitorSession.apply_patch = original
+
+
+def _plans(soc):
+    return {host: {req_id: [str(monitor.formula), bindings.get(req_id)]
+                   for req_id, monitor in sorted(monitors.items())}
+            for host, (monitors, bindings) in sorted(soc.plans.items())}
+
+
+def rearm_transcript(backend="thread", calls=None):
+    """Run the transcript's deltas on a fresh mixed fleet.
+
+    On the thread backend the patches come from the sessions; on the
+    process backend *calls* collects each ``rearm`` call's arguments.
+    """
+    armed, hidden, steps = transcript_records()
+    hosts = build_hosts(ubuntu=2, windows=2)
+    soc = arm(armed + [hidden], hosts, backend=backend)
+    if calls is not None:
+        ship = soc._proc.rearm
+
+        def recording(adds=(), removes=(), rebinds=(), timeout=30.0):
+            calls.append((list(adds), list(removes), list(rebinds)))
+            return ship(adds=adds, removes=removes, rebinds=rebinds,
+                        timeout=timeout)
+
+        soc._proc.rearm = recording
+    stream = ReqStream(armed)
+    rearmer = Rearmer(soc)
+    out = []
+    try:
+        for name, items, removals in steps:
+            delta = stream.diff(items, remove_rids=removals)
+            with recorded_patches() as seen:
+                report = rearmer.apply(delta)
+            stream.commit(delta)
+            patches = {}
+            for host, [patch] in sorted(seen.items()):
+                monitors = [monitor for _, monitor, _ in patch.add]
+                assert len({id(m) for m in monitors}) == len(monitors)
+                patches[host] = {
+                    "token": patch.token,
+                    "add": [[req_id, str(monitor.formula), list(fids)]
+                            for req_id, monitor, fids in patch.add],
+                    "remove": list(patch.remove),
+                    "rebind": [[req_id, list(fids)]
+                               for req_id, fids in patch.rebind]}
+            out.append({"step": name, "delta": delta.summary(),
+                        "report": {**report.summary(),
+                                   "tokens": report.tokens},
+                        "patches": patches, "plans": _plans(soc)})
+        soc.drain()
+    finally:
+        soc.stop()
+    # No monitor object is shared between two hosts.
+    armed_monitors = [monitor for session in soc.sessions.values()
+                      for monitor in session.monitors.values()]
+    assert len({id(m) for m in armed_monitors}) == len(armed_monitors)
+    return out
+
+
+class TestRearmTranscript:
+    def test_thread_transcript_matches_golden(self):
+        assert rearm_transcript() == json.loads(TRANSCRIPT.read_text())
+
+    def test_process_transcript_matches_golden(self):
+        calls = []
+        steps = rearm_transcript("process", calls)
+        golden = json.loads(TRANSCRIPT.read_text())
+        assert len(calls) == len(golden)
+        for step, want, (adds, removes, rebinds) in zip(steps, golden,
+                                                        calls):
+            assert step["report"] == {**want["report"], "tokens": []}
+            assert step["plans"] == want["plans"]
+            assert step["patches"] == {}
+            # The same patches, flattened host by host.
+            patches = sorted(want["patches"].items())
+            assert [[h, r, str(m.formula), list(b)]
+                    for h, r, m, b in adds] == [
+                [h, *entry] for h, p in patches for entry in p["add"]]
+            assert [list(pair) for pair in removes] == [
+                [h, r] for h, p in patches for r in p["remove"]]
+            assert [[h, r, list(b)] for h, r, b in rebinds] == [
+                [h, *entry] for h, p in patches for entry in p["rebind"]]
+
+
+def _golden_text(steps):
+    """One host's patch or plan per line, so a change reads as a small
+    diff."""
+    def section(key, value):
+        if key not in ("patches", "plans"):
+            return f"{json.dumps(key)}: {json.dumps(value)}"
+        return (f"{json.dumps(key)}: {{\n   " + ",\n   ".join(
+            f"{json.dumps(host)}: {json.dumps(entry)}"
+            for host, entry in value.items()) + "}")
+
+    return "[\n" + ",\n".join(
+        " {" + ",\n  ".join(section(key, value)
+                             for key, value in step.items()) + "}"
+        for step in steps) + "\n]"
+
+
+if __name__ == "__main__":
+    print(_golden_text(rearm_transcript()))
