@@ -15,7 +15,10 @@ cache thereafter.
 
 Smart constructors (:func:`land`, :func:`lor`, :func:`lnot`,
 :func:`implies`) perform constant folding; the class constructors build
-raw (but still interned) nodes.  Temporal operators follow the usual
+raw (but still interned) nodes.  Progression builds its conjunctions
+and disjunctions with :func:`conjoin` and :func:`disjoin`, which also
+flatten, deduplicate and sort them, so a formula progresses to finitely
+many obligations.  Temporal operators follow the usual
 abbreviations: ``X`` next, ``U`` until (strong), ``W`` weak until,
 ``R`` release, ``F`` eventually, ``G`` globally.
 """
@@ -277,6 +280,61 @@ def lor(left: Formula, right: Formula) -> Formula:
     if left is right:
         return left
     return Or(left, right)
+
+
+def _sort_key(node: Formula) -> str:
+    """A node's rendered text, cached on the interned node: an order
+    on formulas that no process-local state (ids, hash seeds) enters."""
+    key = node.__dict__.get("_sort_key")
+    if key is None:
+        key = str(node)
+        object.__setattr__(node, "_sort_key", key)
+    return key
+
+
+def _flat(cls, left: Formula, right: Formula, unit: Formula,
+          zero: Formula) -> Formula:
+    """The ``cls`` (``And`` or ``Or``) of *left* and *right* in normal
+    form: nested ``cls`` nodes flattened, constants folded, repeated
+    parts dropped (by identity), the parts sorted by :func:`_sort_key`
+    and rebuilt right-nested."""
+    if left is zero or right is zero:
+        return zero
+    if left is unit:
+        return right
+    if right is unit or left is right:
+        return left
+    parts = {}
+    for operand in (left, right):
+        stack = [operand]
+        while stack:
+            node = stack.pop()
+            if type(node) is cls:
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                parts[node] = None
+    ordered = sorted(parts, key=_sort_key)
+    result = ordered[-1]
+    for part in reversed(ordered[:-1]):
+        result = cls(part, result)
+    return result
+
+
+def conjoin(left: Formula, right: Formula) -> Formula:
+    """Conjunction in normal form — what progression builds.
+
+    :func:`land` keeps the operands as written, so a pending
+    obligation that progression re-conjoins with a copy of itself
+    would nest one level deeper on every repeat of its trigger.  Here
+    the conjunction is flattened, deduplicated and sorted, so every
+    obligation a formula can progress to is drawn from a finite set."""
+    return _flat(And, left, right, TRUE, FALSE)
+
+
+def disjoin(left: Formula, right: Formula) -> Formula:
+    """Disjunction in normal form (see :func:`conjoin`)."""
+    return _flat(Or, left, right, FALSE, TRUE)
 
 
 def implies(left: Formula, right: Formula) -> Formula:

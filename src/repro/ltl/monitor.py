@@ -35,10 +35,10 @@ from repro.ltl.formulas import (
     Until,
     WeakUntil,
     as_step,
+    conjoin,
+    disjoin,
     implies,
-    land,
     lnot,
-    lor,
 )
 
 
@@ -52,7 +52,11 @@ class Verdict(enum.Enum):
 
 def progress(formula: Formula, step: FrozenSet[str]) -> Formula:
     """One progression step: the obligation on the rest of the trace
-    after observing *step*."""
+    after observing *step*.
+
+    Conjunctions and disjunctions are rebuilt in normal form
+    (:func:`~repro.ltl.formulas.conjoin`), so repeated triggers fold
+    onto the obligations already pending instead of nesting them."""
     if formula is TRUE or formula is FALSE:
         return formula
     if isinstance(formula, Atom):
@@ -60,11 +64,11 @@ def progress(formula: Formula, step: FrozenSet[str]) -> Formula:
     if isinstance(formula, Not):
         return lnot(progress(formula.operand, step))
     if isinstance(formula, And):
-        return land(progress(formula.left, step),
-                    progress(formula.right, step))
+        return conjoin(progress(formula.left, step),
+                       progress(formula.right, step))
     if isinstance(formula, Or):
-        return lor(progress(formula.left, step),
-                   progress(formula.right, step))
+        return disjoin(progress(formula.left, step),
+                       progress(formula.right, step))
     if isinstance(formula, Implies):
         return implies(progress(formula.left, step),
                        progress(formula.right, step))
@@ -72,19 +76,19 @@ def progress(formula: Formula, step: FrozenSet[str]) -> Formula:
         return formula.operand
     if isinstance(formula, Until):
         # p U q  ≡  q ∨ (p ∧ X(p U q))
-        return lor(progress(formula.right, step),
-                   land(progress(formula.left, step), formula))
+        return disjoin(progress(formula.right, step),
+                       conjoin(progress(formula.left, step), formula))
     if isinstance(formula, WeakUntil):
-        return lor(progress(formula.right, step),
-                   land(progress(formula.left, step), formula))
+        return disjoin(progress(formula.right, step),
+                       conjoin(progress(formula.left, step), formula))
     if isinstance(formula, Release):
         # p R q  ≡  q ∧ (p ∨ X(p R q))
-        return land(progress(formula.right, step),
-                    lor(progress(formula.left, step), formula))
+        return conjoin(progress(formula.right, step),
+                       disjoin(progress(formula.left, step), formula))
     if isinstance(formula, Eventually):
-        return lor(progress(formula.operand, step), formula)
+        return disjoin(progress(formula.operand, step), formula)
     if isinstance(formula, Globally):
-        return land(progress(formula.operand, step), formula)
+        return conjoin(progress(formula.operand, step), formula)
     raise TypeError(f"unknown formula node: {formula!r}")
 
 
