@@ -89,11 +89,11 @@ def test_bench_e11_orchestrator_ingestion(benchmark):
 
     orchestrator, run = benchmark(ingest_and_run)
     assert run.passed
-    bound = [r for r in orchestrator.repository if r.rqcode_findings]
+    bound = [r.ir for r in orchestrator.repository if r.ir.bindings]
     print_table("E11 ingested SRs with bindings (first 8)", [
-        {"req": r.req_id, "provenance": r.provenance,
-         "bindings": ",".join(r.rqcode_findings)}
-        for r in bound[:8]
+        {"req": ir.rid, "provenance": ir.provenance[0].render(),
+         "bindings": ",".join(ir.bindings)}
+        for ir in bound[:8]
     ])
     assert bound
     benchmark.extra_info["srs"] = len(orchestrator.repository)

@@ -22,7 +22,7 @@ the IR is materialized into a repository on first access, so callers
 holding only front-end-lowered IR can run the pipeline directly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.core.pipeline import PipelineContext
@@ -110,12 +110,12 @@ class RequirementsQualityGate(SecurityGate):
         records = repository.all()
         if not records:
             return GateResult(passed=True, detail="no requirements to check")
-        corpus = [RequirementText(r.req_id, r.text) for r in records]
+        corpus = [RequirementText(r.ir.rid, r.ir.text) for r in records]
         report = self.analyzer.analyze_corpus(corpus)
         context.put("nalabs_report", report)
         by_id = {r.req_id: r for r in report.reports}
         for record in records:
-            requirement_report = by_id[record.req_id]
+            requirement_report = by_id[record.ir.rid]
             record.quality_flags = list(requirement_report.flagged_metrics)
             record.advance_to(RequirementStatus.ANALYZED)
         ratio = report.smelly_count / report.total
@@ -140,9 +140,9 @@ class RequirementsQualityGate(SecurityGate):
 class FormalizationGate(SecurityGate):
     """Fails when too few requirements formalize to patterns/LTL.
 
-    Requirements with a pattern attached get their LTL rendered (and
-    move to FORMALIZED); the gate passes when the formalized fraction
-    meets the threshold.
+    Requirements with a pattern attached get their LTL and TCTL
+    rendered into their IR's formalization (and move to FORMALIZED);
+    the gate passes when the formalized fraction meets the threshold.
     """
 
     name = "formalization"
@@ -157,15 +157,17 @@ class FormalizationGate(SecurityGate):
             return GateResult(passed=True, detail="no requirements")
         formalized = 0
         for record in records:
-            if record.pattern is None:
+            pattern, scope = record.ir.pattern_scope()
+            if pattern is None:
                 continue
             try:
-                formula = to_ltl(record.pattern, record.scope)
-                record.ltl = str(formula)
+                ltl = str(to_ltl(pattern, scope))
             except PatternScopeUnsupported:
                 # Pattern known but mapping absent: keep TCTL-only.
-                record.ltl = ""
-            record.tctl = to_tctl(record.pattern, record.scope)
+                ltl = ""
+            record.ir = replace(record.ir, formalization=replace(
+                record.ir.formalization, ltl=ltl,
+                tctl=to_tctl(pattern, scope)))
             record.advance_to(RequirementStatus.FORMALIZED)
             formalized += 1
         ratio = formalized / len(records)
@@ -410,7 +412,7 @@ class ComplianceGate(SecurityGate):
             repository = gate_repository(context, required=False)
             if repository is not None:
                 for record in repository.all():
-                    if record.rqcode_findings and \
+                    if record.ir.bindings and \
                             record.status.rank() >= \
                             RequirementStatus.VERIFIED.rank():
                         record.advance_to(RequirementStatus.DEPLOYED)
@@ -438,13 +440,14 @@ class MonitoringGate(SecurityGate):
         monitors: Dict[str, LtlMonitor] = {}
         broken: List[str] = []
         for record in repository.formalized():
-            if not record.ltl:
+            ir = record.ir
+            if not ir.formalization.ltl:
                 continue
             try:
-                monitors[record.req_id] = CompiledMonitor(
-                    parse_ltl(record.ltl))
+                monitors[ir.rid] = CompiledMonitor(
+                    parse_ltl(ir.formalization.ltl))
             except Exception:  # noqa: BLE001 - collect, report below
-                broken.append(record.req_id)
+                broken.append(ir.rid)
         context.put("monitors", monitors)
         if not broken:
             for req_id in monitors:

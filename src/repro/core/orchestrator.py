@@ -12,14 +12,15 @@ prevention pipeline around it:
    :meth:`ingest_vulnerabilities` (the vulndb generator), plus the
    source-agnostic :meth:`ingest_ir` / :meth:`ingest_frontend` for IR
    produced elsewhere.  A record ingested through a native method and
-   one lowered externally through the registry are field-for-field
-   identical, so prevention-cache fingerprints agree across paths.
+   one lowered externally through the registry are the same IR, so
+   prevention-cache fingerprints agree across paths.
 2. **Prevention (WP4)** — :meth:`build_pipeline` assembles the staged
    pipeline with the five security gates; :meth:`run_prevention`
    executes it against target hosts.
 3. **Protection (WP3)** — :meth:`start_protection` arms the
    event-driven loop on a deployed host with the monitors the pipeline
-   produced, plus drift detectors for every standard-sourced binding.
+   produced, plus drift detectors for every standard-sourced binding
+   (the same rule the live re-arm plane applies).
 """
 
 from typing import Dict, List, Optional, Sequence
@@ -39,16 +40,11 @@ from repro.core.pipeline import (
     Stage,
 )
 from repro.core.protection import ProtectionLoop
-from repro.core.repository import (
-    RequirementRecord,
-    RequirementRepository,
-    RequirementSource,
-)
+from repro.core.repository import RequirementRecord, RequirementRepository
 from repro.environment.host import SimulatedHost
-from repro.ltl.compile import CompiledMonitor, transition_table
+from repro.ltl.compile import transition_table
 from repro.ltl.formulas import FALSE
 from repro.ltl.monitor import LtlMonitor
-from repro.ltl.parser import parse_ltl
 from repro.reqs.ir import Requirement
 from repro.reqs.registry import FrontendRegistry, default_registry
 from repro.rqcode.catalog import StigCatalog, default_catalog
@@ -275,12 +271,15 @@ class VeriDevOpsOrchestrator:
         """The monitors and RQCODE bindings protecting *host*.
 
         Uses the monitors the pipeline produced (when *run* is given)
-        and always adds drift detectors for every standard-sourced
-        requirement bound to catalogue findings: ``G !drift`` tied to
-        the finding's enforcement.  Returns ``(monitors, bindings)`` —
-        the plan both the serial :class:`ProtectionLoop` and the
-        concurrent SOC runtime arm.
+        and always adds a drift detector for every standard-sourced
+        requirement bound to catalogue findings of the host's platform:
+        the re-arm plane's :func:`~repro.soc.rearm.drift_entry`, so cold
+        and live plans arm drift by one rule.  Returns ``(monitors,
+        bindings)`` — the plan both the serial :class:`ProtectionLoop`
+        and the concurrent SOC runtime arm.
         """
+        from repro.soc.rearm import drift_entry
+
         monitors: Dict[str, LtlMonitor] = {}
         bindings: Dict[str, List[str]] = {}
         if run is not None and run.context is not None:
@@ -292,21 +291,12 @@ class VeriDevOpsOrchestrator:
                 # the drift detectors below instead.
                 if _event_compatible(monitor):
                     monitors[req_id] = monitor
-        for record in self.repository.from_source(RequirementSource.STANDARD):
-            # Only findings applicable to this host's platform: a fleet
-            # orchestrator carries both platforms' standards, and a
-            # Windows binding must never be enforced on an Ubuntu box.
-            applicable = [
-                fid for fid in record.rqcode_findings
-                if fid in self.catalog
-                and self.catalog.get(fid).platform == host.os_family
-            ]
-            if not applicable:
-                continue
-            drift_id = f"{record.req_id}/drift"
-            atom = self._drift_atom(applicable)
-            monitors[drift_id] = CompiledMonitor(parse_ltl(f"G !{atom}"))
-            bindings[drift_id] = applicable
+        for ir in self.repository.irs():
+            entry = drift_entry(ir, host, self.catalog)
+            if entry is not None:
+                drift_id, monitor, finding_ids = entry
+                monitors[drift_id] = monitor
+                bindings[drift_id] = list(finding_ids)
         return monitors, bindings
 
     def start_protection(self, host: SimulatedHost,
@@ -316,14 +306,3 @@ class VeriDevOpsOrchestrator:
         monitors, bindings = self.protection_plan(host, run)
         loop = ProtectionLoop(host, self.catalog, monitors, bindings)
         return loop.start()
-
-    def _drift_atom(self, finding_ids: Sequence[str]) -> str:
-        """The drift-event kind a finding's monitor should watch.
-
-        One rule, two consumers: cold planning here and live delta
-        re-arming in :mod:`repro.soc.rearm` — the shared implementation
-        keeps their monitor sets provably identical.
-        """
-        from repro.soc.rearm import drift_atom
-
-        return drift_atom(self.catalog, finding_ids)

@@ -1,14 +1,13 @@
 """Requirement repository with lifecycle and traceability.
 
 Every security requirement the framework handles — whatever its source
-— is canonically a :class:`~repro.reqs.ir.Requirement` (the immutable
-IR every front-end lowers into).  The repository stores each IR record
-wrapped in a :class:`RequirementRecord`: the IR's normative content
-plus the *mutable* pipeline bookkeeping (lifecycle status, quality
-flags, rendered formulas) the gates advance.  :meth:`RequirementRecord.
-to_ir` re-canonicalizes a record at any point — that serialization is
-what the prevention plane fingerprints, so cache keys are front-end
-agnostic.
+— is a :class:`~repro.reqs.ir.Requirement` (the immutable IR every
+front-end lowers into).  The repository stores each one in a
+:class:`RequirementRecord`: the IR itself plus the pipeline state the
+gates advance (lifecycle status, quality flags).  The stored IR is the
+requirement's one representation: the prevention plane fingerprints
+it, the protection plane arms monitors from it, and persistence writes
+it.
 
 The repository is the traceability backbone: experiment E1's
 end-to-end table is a walk over these records.
@@ -16,11 +15,9 @@ end-to-end table is a walk over these records.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-from repro.reqs.ir import Formalization, Provenance, Requirement
-from repro.specpatterns.patterns import Pattern
-from repro.specpatterns.scopes import Scope
+from repro.reqs.ir import Requirement
 
 
 class RequirementSource(enum.Enum):
@@ -31,8 +28,8 @@ class RequirementSource(enum.Enum):
     STANDARD = "standard"
 
 
-#: Front-end registry name -> coarse WP2 source, and a fallback the
-#: other way for records predating the IR (no front-end recorded).
+#: Front-end registry name -> coarse WP2 source.  Front-ends missing
+#: here count as natural language.
 FRONTEND_SOURCES: Dict[str, RequirementSource] = {
     "nalabs": RequirementSource.NATURAL_LANGUAGE,
     "resa": RequirementSource.NATURAL_LANGUAGE,
@@ -41,11 +38,11 @@ FRONTEND_SOURCES: Dict[str, RequirementSource] = {
     "vulndb": RequirementSource.VULNERABILITY_DB,
 }
 
-_DEFAULT_FRONTENDS: Dict[RequirementSource, str] = {
-    RequirementSource.NATURAL_LANGUAGE: "resa",
-    RequirementSource.VULNERABILITY_DB: "vulndb",
-    RequirementSource.STANDARD: "rqcode",
-}
+
+def requirement_source(ir: Requirement) -> RequirementSource:
+    """The WP2 source of the front-end *ir* was lowered from."""
+    return FRONTEND_SOURCES.get(ir.source,
+                                RequirementSource.NATURAL_LANGUAGE)
 
 
 class RequirementStatus(enum.Enum):
@@ -74,38 +71,18 @@ _STATUS_ORDER = [
 
 @dataclass
 class RequirementRecord:
-    """One requirement with full traceability.
+    """One stored requirement: its IR plus the pipeline's own state.
 
-    The identity/content fields mirror the IR; ``status``,
-    ``quality_flags``, ``ltl`` and ``tctl`` are the mutable pipeline
-    state layered on top.  ``provenance`` keeps the legacy one-line
-    string; ``provenance_chain`` carries the full typed source chain
-    (IR-ingested records always have one; hand-built records fall back
-    to wrapping the string at canonicalization time).
+    ``ir`` is the whole requirement.  The gates replace it when they
+    render its formulas (the IR is frozen), and every consumer reads it
+    directly.  ``status`` and ``quality_flags`` are what the pipeline
+    knows about the requirement and the IR does not: where it is in the
+    lifecycle, and the NALABS flags raised at analysis time.
     """
 
-    req_id: str
-    text: str
-    source: RequirementSource
+    ir: Requirement
     status: RequirementStatus = RequirementStatus.ELICITED
-    #: NALABS flags ('vagueness', ...) attached at analysis time.
     quality_flags: List[str] = field(default_factory=list)
-    #: Specification-pattern formalization.
-    pattern: Optional[Pattern] = None
-    scope: Optional[Scope] = None
-    ltl: str = ""
-    tctl: str = ""
-    #: RQCODE finding ids bound for check/enforce on hosts.
-    rqcode_findings: List[str] = field(default_factory=list)
-    #: Free-form provenance (CVE id, STIG id, document section).
-    provenance: str = ""
-    #: IR content carried alongside the legacy fields.
-    title: str = ""
-    frontend: str = ""
-    target_kind: str = ""
-    severity: str = "medium"
-    tags: List[str] = field(default_factory=list)
-    provenance_chain: List[Provenance] = field(default_factory=list)
 
     def advance_to(self, status: RequirementStatus) -> None:
         """Move the lifecycle forward; regression raises.
@@ -115,66 +92,10 @@ class RequirementRecord:
         """
         if status.rank() < self.status.rank():
             raise ValueError(
-                f"{self.req_id}: cannot regress from {self.status.value} "
+                f"{self.ir.rid}: cannot regress from {self.status.value} "
                 f"to {status.value}"
             )
         self.status = status
-
-    # -- IR canonicalization -------------------------------------------------------
-
-    @classmethod
-    def from_ir(cls, ir: Requirement) -> "RequirementRecord":
-        """Lower an IR record into a fresh (ELICITED) repository record."""
-        pattern, scope = ir.pattern_scope()
-        formalization = ir.formalization
-        return cls(
-            req_id=ir.rid,
-            text=ir.text,
-            source=FRONTEND_SOURCES.get(
-                ir.source, RequirementSource.NATURAL_LANGUAGE),
-            pattern=pattern,
-            scope=scope,
-            ltl=formalization.ltl if formalization else "",
-            tctl=formalization.tctl if formalization else "",
-            rqcode_findings=list(ir.bindings),
-            provenance=ir.legacy_provenance(),
-            title=ir.title,
-            frontend=ir.source,
-            target_kind=ir.target_kind,
-            severity=ir.severity,
-            tags=list(ir.tags),
-            provenance_chain=list(ir.provenance),
-        )
-
-    def to_ir(self) -> Requirement:
-        """The record's canonical IR form, *as of now*.
-
-        Mutable pipeline bookkeeping (status, quality flags) is
-        deliberately excluded; the rendered formulas are included
-        because they are verification inputs.  Records built through
-        :meth:`from_ir` round-trip exactly.
-        """
-        chain = tuple(self.provenance_chain)
-        if not chain and self.provenance:
-            chain = (Provenance("legacy", self.req_id, self.provenance),)
-        formalization = None
-        if self.pattern is not None or self.ltl or self.tctl:
-            formalization = Formalization.from_objects(
-                self.pattern, self.scope, ltl=self.ltl, tctl=self.tctl)
-        return Requirement(
-            rid=self.req_id,
-            title=self.title,
-            text=self.text,
-            source=self.frontend or _DEFAULT_FRONTENDS[self.source],
-            provenance=chain,
-            target_kind=self.target_kind or (
-                "host" if self.rqcode_findings
-                else "monitor" if self.pattern is not None else "document"),
-            severity=self.severity,
-            formalization=formalization,
-            tags=tuple(self.tags),
-            bindings=tuple(self.rqcode_findings),
-        )
 
 
 class RequirementRepository:
@@ -193,14 +114,19 @@ class RequirementRepository:
         return iter(self.all())
 
     def add(self, record: RequirementRecord) -> RequirementRecord:
-        if record.req_id in self._records:
-            raise ValueError(f"duplicate requirement id: {record.req_id}")
-        self._records[record.req_id] = record
+        """Store *record*.  Its pattern and scope kinds are checked
+        here, so a record the repository holds always raises into
+        pattern/scope objects."""
+        rid = record.ir.rid
+        if rid in self._records:
+            raise ValueError(f"duplicate requirement id: {rid}")
+        record.ir.pattern_scope()
+        self._records[rid] = record
         return record
 
     def add_ir(self, ir: Requirement) -> RequirementRecord:
-        """Store one IR record (the native ingestion path)."""
-        return self.add(RequirementRecord.from_ir(ir))
+        """Store one IR record as a fresh (ELICITED) repository record."""
+        return self.add(RequirementRecord(ir))
 
     def extend_ir(self, irs: Iterable[Requirement]
                   ) -> List[RequirementRecord]:
@@ -216,34 +142,18 @@ class RequirementRepository:
     def get(self, req_id: str) -> RequirementRecord:
         return self._records[req_id]
 
-    def get_ir(self, req_id: str) -> Requirement:
-        """The canonical IR of one stored record."""
-        return self._records[req_id].to_ir()
-
     def all(self) -> List[RequirementRecord]:
-        return sorted(self._records.values(), key=lambda r: r.req_id)
+        return sorted(self._records.values(), key=lambda r: r.ir.rid)
 
     def irs(self) -> List[Requirement]:
-        """Every record canonicalized, sorted by id."""
-        return [record.to_ir() for record in self.all()]
-
-    def with_status(self, status: RequirementStatus
-                    ) -> List[RequirementRecord]:
-        return [r for r in self.all() if r.status is status]
-
-    def at_least(self, status: RequirementStatus) -> List[RequirementRecord]:
-        return [r for r in self.all() if r.status.rank() >= status.rank()]
-
-    def from_source(self, source: RequirementSource
-                    ) -> List[RequirementRecord]:
-        return [r for r in self.all() if r.source is source]
-
-    def from_frontend(self, frontend: str) -> List[RequirementRecord]:
-        """Records lowered from one registered front-end."""
-        return [r for r in self.all() if r.to_ir().source == frontend]
+        """Every record's IR, sorted by id."""
+        return [record.ir for record in self.all()]
 
     def formalized(self) -> List[RequirementRecord]:
-        return [r for r in self.all() if r.pattern is not None]
+        """Records whose IR carries a specification pattern."""
+        return [r for r in self.all()
+                if r.ir.formalization is not None
+                and r.ir.formalization.pattern_kind]
 
     def duplicate_groups(self) -> Dict[str, List[str]]:
         """Content fingerprint -> ids sharing it (cross-source dedup).
@@ -253,10 +163,8 @@ class RequirementRepository:
         reached through two front-ends lands in one group.
         """
         groups: Dict[str, List[str]] = {}
-        for record in self.all():
-            groups.setdefault(
-                record.to_ir().content_fingerprint(), []).append(
-                record.req_id)
+        for ir in self.irs():
+            groups.setdefault(ir.content_fingerprint(), []).append(ir.rid)
         return {key: ids for key, ids in groups.items() if len(ids) > 1}
 
     def status_histogram(self) -> Dict[str, int]:
@@ -275,14 +183,17 @@ class RequirementRepository:
         """
         rows = []
         for record in self.all():
-            chain = record.to_ir().provenance_chain_digest()
+            ir = record.ir
+            pattern, _ = ir.pattern_scope()
+            chain = ir.provenance_chain_digest()
             rows.append({
-                "req": record.req_id,
-                "source": record.source.value,
+                "req": ir.rid,
+                "source": requirement_source(ir).value,
                 "status": record.status.value,
-                "pattern": record.pattern.kind if record.pattern else "-",
-                "ltl": record.ltl or "-",
-                "bindings": ",".join(record.rqcode_findings) or "-",
+                "pattern": pattern.kind if pattern else "-",
+                "ltl": (ir.formalization.ltl if ir.formalization else "")
+                       or "-",
+                "bindings": ",".join(ir.bindings) or "-",
                 "trace": chain[:12] if chain else "-",
             })
         return rows

@@ -3,8 +3,9 @@
 Re-running a CI pipeline re-verifies every requirement from scratch —
 the "security tooling slows the pipeline" friction DevSecOps surveys
 report.  This package makes prevention incremental: every verification
-input (network of timed automata, query, requirement record) gets a
-content address — a blake2b fingerprint over a canonical serialization
+task (network of timed automata, query) gets a content address — a
+blake2b fingerprint over a canonical serialization, as every
+requirement has its own (:meth:`repro.reqs.ir.Requirement.fingerprint`)
 — and :class:`TieredVerdictStore` persists verdicts keyed by task
 label so a re-run only re-checks tasks whose formal artifacts actually
 changed.  Mutating any ingested artifact changes its fingerprint and
@@ -28,10 +29,7 @@ from repro.prevention.fingerprint import (
     canonical_network,
     canonical_network_json,
     canonical_query,
-    canonical_requirement,
     fingerprint,
-    fingerprint_ir,
-    fingerprint_requirement,
     fingerprint_task,
 )
 from repro.prevention.stats import CacheStats
@@ -50,9 +48,6 @@ __all__ = [
     "canonical_network",
     "canonical_network_json",
     "canonical_query",
-    "canonical_requirement",
     "fingerprint",
-    "fingerprint_ir",
-    "fingerprint_requirement",
     "fingerprint_task",
 ]

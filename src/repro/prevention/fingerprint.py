@@ -196,39 +196,6 @@ def canonical_query(query_text: str) -> dict:
     return {"query": " ".join(query_text.split())}
 
 
-def canonical_requirement(record: Any) -> dict:
-    """A requirement's verification-relevant content — its canonical IR.
-
-    Repository records and IR records alike serialize through the
-    unified Requirement IR (:mod:`repro.reqs.ir`), so cache keys are
-    front-end agnostic: the same normative requirement fingerprints
-    identically whether it was ingested through a native orchestrator
-    method or lowered externally through the front-end registry.
-    Mutating any normative content changes the fingerprint; mutable
-    pipeline bookkeeping (status, quality flags) deliberately does not.
-
-    Objects that are neither IR nor IR-convertible fall back to a
-    duck-typed serialization of the legacy fields.
-    """
-    from repro.reqs.ir import Requirement
-
-    if isinstance(record, Requirement):
-        return record.to_dict()
-    to_ir = getattr(record, "to_ir", None)
-    if callable(to_ir):
-        return to_ir().to_dict()
-    return {
-        "req_id": record.req_id,
-        "text": record.text,
-        "source": getattr(record.source, "value", str(record.source)),
-        "pattern": repr(record.pattern) if record.pattern else None,
-        "scope": repr(record.scope) if record.scope else None,
-        "ltl": record.ltl,
-        "tctl": record.tctl,
-        "rqcode_findings": list(record.rqcode_findings),
-    }
-
-
 def _network_hasher(network: Network) -> "hashlib.blake2b":
     """Hash state over the digest document up to its network."""
     return hashlib.blake2b(
@@ -238,26 +205,21 @@ def _network_hasher(network: Network) -> "hashlib.blake2b":
 
 
 def fingerprint_task(network: Network, query_text: str,
-                     requirement: Optional[Any] = None,
                      memo: Optional[Dict[int, "hashlib.blake2b"]] = None
                      ) -> str:
     """Content address of one verification task.
 
-    The digest covers the composed network and the query; when the task
-    traces back to a requirement record, its verification-relevant
-    content is folded in as well, so editing the requirement text
-    invalidates the task even if the derived automaton is unchanged.
-    The checker's :data:`~repro.ta.checker.CHECKER_VERSION` is folded
-    in too: verdicts an older checker cached miss and are re-checked.
+    The digest covers the composed network and the query.  The
+    checker's :data:`~repro.ta.checker.CHECKER_VERSION` is folded in
+    too: verdicts an older checker cached miss and are re-checked.
 
     The digest is :func:`fingerprint` of ``{"checker", "network",
-    "query"[, "requirement"]}``, hashed in two parts: the document up
-    to and including the network (:func:`canonical_network_json`),
-    then the query and requirement tail.  A caller fingerprinting many
-    tasks over few networks can pass one *memo* (``id(network)`` -> the
-    blake2b state after the network) for the batch, so each network is
-    serialized and hashed once and every task finishes from a copy of
-    that state.  The caller keeps every network alive while the memo
+    "query"}``, hashed in two parts: the document up to and including
+    the network (:func:`canonical_network_json`), then the query
+    tail.  A caller fingerprinting many tasks over few networks can
+    pass one *memo* (``id(network)`` -> the blake2b state after the
+    network) for the batch, so each network is serialized and hashed
+    once and every task finishes from a copy of that state.  The caller keeps every network alive while the memo
     lives (ids of collected objects are reused) and drops the memo
     after the batch.
     """
@@ -269,20 +231,6 @@ def fingerprint_task(network: Network, query_text: str,
             state = memo[id(network)] = _network_hasher(network)
         hasher = state.copy()
     # Keys in sorted order, exactly as fingerprint() would write them.
-    tail = ',"query":' + _string(canonical_query(query_text)["query"])
-    if requirement is not None:
-        tail += ',"requirement":' + _canonical_json(
-            canonical_requirement(requirement))
-    hasher.update((tail + "}").encode("utf-8"))
+    query = _string(canonical_query(query_text)["query"])
+    hasher.update((',"query":' + query + "}").encode("utf-8"))
     return hasher.hexdigest()
-
-
-def fingerprint_requirement(record: Any) -> str:
-    """Content address of one requirement record (via its IR form)."""
-    return fingerprint(canonical_requirement(record))
-
-
-def fingerprint_ir(ir: Any) -> str:
-    """Content address of an IR record — same digest the IR itself
-    computes (:meth:`repro.reqs.ir.Requirement.fingerprint`)."""
-    return fingerprint(ir.to_dict())

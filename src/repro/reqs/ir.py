@@ -342,17 +342,6 @@ class Requirement:
             return None, None
         return self.formalization.to_objects()
 
-    def legacy_provenance(self) -> str:
-        """The one-line provenance string older consumers carry.
-
-        The origin link's detail (or ``kind:ref``) — matches the
-        free-form strings the pre-IR ingestion paths produced.
-        """
-        if not self.provenance:
-            return ""
-        origin = self.provenance[0]
-        return origin.detail or f"{origin.kind}:{origin.ref}"
-
 
 def dedupe(records) -> "list[Requirement]":
     """Drop records whose normative content repeats an earlier one.

@@ -18,7 +18,8 @@ deterministic:
   breaker, failure re-opens it for a fresh, full cooldown.
 
 Grew up in the SOC; it moved here when the scheduler unified the
-three executor stacks, and :mod:`repro.soc` re-exports it.
+three executor stacks.  The SOC's incident pipeline imports it from
+here.
 """
 
 import enum

@@ -8,7 +8,7 @@ jitter behind a per-finding circuit breaker).  This module is the
 single stack they all run through now:
 
 * :class:`RetryPolicy` — the backoff schedule (moved here from
-  ``repro.soc.incidents``; the SOC re-exports it).
+  ``repro.soc.incidents``, which imports it from here).
 * :class:`BreakerBank` — a keyed registry of circuit breakers, so a
   pipeline run and a SOC shard can share one failure budget per
   backend.

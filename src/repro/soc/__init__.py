@@ -12,8 +12,8 @@ long-running concurrent service instead of a synchronous per-host loop:
   progressed off the emitting thread;
 * :mod:`repro.soc.incidents` — the incident pipeline: retry with
   exponential backoff + jitter, per-finding circuit breakers (the
-  three-state breaker is the scheduler's,
-  :mod:`repro.sched.breaker`, re-exported here);
+  scheduler's :mod:`repro.sched.breaker` and :mod:`repro.sched.policy`,
+  imported from there);
 * :mod:`repro.soc.metrics` — counters / gauges / histograms,
   snapshotable as plain dicts;
 * :mod:`repro.soc.workers` — the shard worker threads;
@@ -23,7 +23,11 @@ long-running concurrent service instead of a synchronous per-host loop:
   dead-letter queue;
 * :mod:`repro.soc.service` — :class:`SocService`: ingress, lifecycle
   (start / drain / stop), reconcile sweep, results;
-* :mod:`repro.soc.report` — human-readable and JSON run reports.
+* :mod:`repro.soc.report` — human-readable and JSON run reports;
+* :mod:`repro.soc.rearm` — live delta re-arming of a running service,
+  and the monitor plan (drift detectors and LTL monitors) per record;
+* :mod:`repro.soc.procplane` — the process backend: shard workers in
+  their own processes behind a binary event plane.
 
 Entry points: ``Fleet.arm_soc(...)`` from :mod:`repro.core.fleet`, the
 ``repro soc`` CLI subcommand, and benchmark E12.

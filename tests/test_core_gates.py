@@ -1,5 +1,6 @@
 """Unit tests for the five security gates."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -14,13 +15,9 @@ from repro.core.gates import (
     VerificationGate,
 )
 from repro.core.pipeline import PipelineContext
-from repro.core.repository import (
-    RequirementRecord,
-    RequirementRepository,
-    RequirementSource,
-    RequirementStatus,
-)
+from repro.core.repository import RequirementRepository, RequirementStatus
 from repro.prevention.tasks import _token_ring
+from repro.reqs.ir import Formalization, Requirement
 from repro.rqcode import default_catalog
 from repro.sched import Scheduler, SchedulerCrash
 from repro.sched.journal import Journal
@@ -30,13 +27,12 @@ from repro.ta.checker import ZoneGraphChecker
 
 
 def repository_with(*texts, pattern=None):
-    repository = RequirementRepository()
-    for index, text in enumerate(texts, start=1):
-        repository.add(RequirementRecord(
-            req_id=f"R-{index}", text=text,
-            source=RequirementSource.NATURAL_LANGUAGE,
-            pattern=pattern, scope=Globally() if pattern else None))
-    return repository
+    formalization = (Formalization.from_objects(pattern, Globally())
+                     if pattern else None)
+    return RequirementRepository.from_irs(
+        Requirement(rid=f"R-{index}", title="", text=text,
+                    source="resa", formalization=formalization)
+        for index, text in enumerate(texts, start=1))
 
 
 class TestRequirementsQualityGate:
@@ -93,8 +89,8 @@ class TestFormalizationGate:
             context)
         assert result.passed
         record = repository.get("R-1")
-        assert record.ltl == "G (!(exploit))"
-        assert record.tctl == "A[] not exploit"
+        assert record.ir.formalization.ltl == "G (!(exploit))"
+        assert record.ir.formalization.tctl == "A[] not exploit"
         assert record.status is RequirementStatus.FORMALIZED
 
     def test_fails_below_threshold(self):
@@ -315,7 +311,10 @@ class TestMonitoringGate:
     def test_unparseable_ltl_fails_gate(self):
         repository = repository_with("x", pattern=Absence(p="e"))
         FormalizationGate().evaluate(PipelineContext(repository=repository))
-        repository.get("R-1").ltl = "G (("  # corrupt the artifact
+        record = repository.get("R-1")
+        record.ir = dataclasses.replace(  # corrupt the artifact
+            record.ir, formalization=dataclasses.replace(
+                record.ir.formalization, ltl="G (("))
         context = PipelineContext(repository=repository)
         result = MonitoringGate().evaluate(context)
         assert not result.passed

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core import VeriDevOpsOrchestrator
-from repro.core.repository import RequirementSource, RequirementStatus
+from repro.core.repository import (
+    RequirementSource,
+    RequirementStatus,
+    requirement_source,
+)
 from repro.vulndb import SoftwareInventory, bundled_database
 
 CLEAN_NL = [
@@ -19,22 +23,24 @@ class TestIngestion:
         orchestrator = VeriDevOpsOrchestrator()
         records = orchestrator.ingest_natural_language(CLEAN_NL)
         assert len(records) == 3
-        assert all(r.pattern is not None for r in records)
-        assert records[0].source is RequirementSource.NATURAL_LANGUAGE
+        assert all(r.ir.formalization.pattern_kind for r in records)
+        assert requirement_source(records[0].ir) \
+            is RequirementSource.NATURAL_LANGUAGE
 
     def test_free_form_text_recorded_without_pattern(self):
         orchestrator = VeriDevOpsOrchestrator()
         records = orchestrator.ingest_natural_language(
             ["Logging is generally considered good practice"])
-        assert records[0].pattern is None
-        assert "no boilerplate" in records[0].provenance
+        assert records[0].ir.formalization is None
+        assert "no boilerplate" in records[0].ir.provenance[0].detail
 
     def test_standards_bind_rqcode_findings(self):
         orchestrator = VeriDevOpsOrchestrator()
         records = orchestrator.ingest_standards("ubuntu")
         assert len(records) == 14
-        assert all(r.rqcode_findings for r in records)
-        assert all(r.source is RequirementSource.STANDARD for r in records)
+        assert all(r.ir.bindings for r in records)
+        assert all(requirement_source(r.ir) is RequirementSource.STANDARD
+                   for r in records)
 
     def test_vulnerabilities_produce_patterned_records(self):
         orchestrator = VeriDevOpsOrchestrator()
@@ -42,8 +48,9 @@ class TestIngestion:
         records = orchestrator.ingest_vulnerabilities(
             bundled_database(), inventory)
         assert records
-        assert all(r.pattern is not None for r in records)
-        assert all(r.provenance.startswith("CVE-") for r in records)
+        assert all(r.ir.formalization.pattern_kind for r in records)
+        assert all(r.ir.provenance[0].ref.startswith("CVE-")
+                   for r in records)
 
 
 class TestPrevention:
@@ -57,8 +64,9 @@ class TestPrevention:
         report = run.context.get("compliance_reports")[0]
         assert report.compliance_ratio == 1.0
         # Standard requirements went all the way to MONITORED.
-        standards = orchestrator.repository.from_source(
-            RequirementSource.STANDARD)
+        standards = [r for r in orchestrator.repository
+                     if requirement_source(r.ir) is RequirementSource.STANDARD]
+        assert standards
         assert all(r.status is RequirementStatus.MONITORED
                    for r in standards)
 
@@ -122,10 +130,10 @@ class TestIec62443Ingestion:
         records = orchestrator.ingest_iec62443("ubuntu",
                                                SecurityLevel.SL2)
         assert len(records) == 24
-        bound = [r for r in records if r.rqcode_findings]
-        unbound = [r for r in records if not r.rqcode_findings]
+        bound = [r for r in records if r.ir.bindings]
+        unbound = [r for r in records if not r.ir.bindings]
         assert bound and unbound  # gaps stay visible
-        assert all(r.provenance.startswith("IEC 62443-3-3")
+        assert all(r.ir.provenance[0].detail.startswith("IEC 62443-3-3")
                    for r in records)
 
     def test_srs_flow_through_pipeline_and_protection(self,

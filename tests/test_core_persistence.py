@@ -1,5 +1,7 @@
 """Tests for repository persistence and enforcement fault injection."""
 
+import json
+
 import pytest
 
 from repro.core import VeriDevOpsOrchestrator
@@ -9,7 +11,7 @@ from repro.core.persistence import (
     repository_from_json,
     repository_to_json,
 )
-from repro.core.repository import RequirementStatus
+from repro.core.repository import RequirementRepository, RequirementStatus
 from repro.rqcode import default_catalog
 from repro.rqcode.concepts import CheckStatus, EnforcementStatus
 from repro.vulndb import SoftwareInventory, bundled_database
@@ -32,17 +34,15 @@ def populated_repository():
 class TestPersistence:
     def test_round_trip_preserves_everything(self):
         repository = populated_repository()
+        repository.all()[0].quality_flags.append("vagueness")
         restored = repository_from_json(repository_to_json(repository))
         assert len(restored) == len(repository)
         for original in repository.all():
-            copy = restored.get(original.req_id)
-            assert copy.text == original.text
-            assert copy.source is original.source
+            copy = restored.get(original.ir.rid)
+            assert copy.ir == original.ir
+            assert copy.ir.fingerprint() == original.ir.fingerprint()
             assert copy.status is original.status
-            assert copy.pattern == original.pattern
-            assert copy.scope == original.scope
-            assert copy.rqcode_findings == original.rqcode_findings
-            assert copy.provenance == original.provenance
+            assert copy.quality_flags == original.quality_flags
 
     def test_round_trip_after_pipeline(self, ubuntu_default):
         orchestrator = VeriDevOpsOrchestrator()
@@ -54,24 +54,59 @@ class TestPersistence:
         statuses = {r.status for r in restored.all()}
         assert statuses == {RequirementStatus.MONITORED}
         # Formal artifacts survive too.
-        assert all(r.ltl for r in restored.all())
+        assert all(r.ir.formalization.ltl for r in restored.all())
+        assert restored.irs() == orchestrator.repository.irs()
 
     def test_unknown_pattern_kind_rejected(self):
-        payload = record_to_dict(populated_repository().all()[0])
-        payload["pattern"] = {"kind": "Nonexistent", "fields": {}}
+        payload = record_to_dict(populated_repository().formalized()[0])
+        payload["ir"]["formalization"]["pattern"]["kind"] = "Nonexistent"
         with pytest.raises(ValueError):
-            record_from_dict(payload)
+            RequirementRepository().add(record_from_dict(payload))
 
     def test_version_checked(self):
-        with pytest.raises(ValueError):
-            repository_from_json('{"version": 99, "records": []}')
+        # Version 1 (the flat record shape) is refused like any other.
+        for version in (1, 99, None):
+            with pytest.raises(ValueError):
+                repository_from_json(json.dumps(
+                    {"version": version, "records": []}))
 
     def test_pattern_less_records_round_trip(self):
         orchestrator = VeriDevOpsOrchestrator()
         orchestrator.ingest_natural_language(["free prose, no pattern"])
         restored = repository_from_json(
             repository_to_json(orchestrator.repository))
-        assert restored.all()[0].pattern is None
+        assert restored.all()[0].ir.formalization is None
+
+
+def _corrupted(edit):
+    """The populated repository's JSON with one formalized record's IR
+    passed through *edit*."""
+    payload = json.loads(repository_to_json(populated_repository()))
+    record = next(entry for entry in payload["records"]
+                  if entry["ir"]["formalization"] is not None)
+    edit(record["ir"])
+    return json.dumps(payload)
+
+
+class TestLoadValidatesEveryRecord:
+    """A record the IR refuses is refused when the file loads, not
+    later by the first query that raises its IR."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda ir: ir.update(severity="bogus"),
+        lambda ir: ir.update(target_kind="spaceship"),
+        lambda ir: ir["formalization"]["pattern"].update(kind="Bogus"),
+        lambda ir: ir["formalization"]["scope"].update(kind="Bogus"),
+        lambda ir: ir.pop("text"),
+    ], ids=["severity", "target-kind", "pattern-kind", "scope-kind",
+            "missing-text"])
+    def test_bad_record_fails_the_load(self, edit):
+        with pytest.raises(ValueError):
+            repository_from_json(_corrupted(edit))
+
+    def test_untouched_file_loads(self):
+        restored = repository_from_json(_corrupted(lambda ir: None))
+        assert restored.irs() == populated_repository().irs()
 
 
 class TestEnforcementFaultInjection:

@@ -14,7 +14,11 @@ from repro.core.repository import (
     RequirementRepository,
     RequirementSource,
     RequirementStatus,
+    requirement_source,
 )
+from repro.reqs.ir import Formalization, Provenance, Requirement
+from repro.specpatterns.patterns import Absence
+from repro.specpatterns.scopes import Globally
 
 
 class _StubGate(SecurityGate):
@@ -110,16 +114,17 @@ class TestPipelineExecution:
 
 
 class TestRepository:
-    def _record(self, req_id="R-1"):
-        return RequirementRecord(
-            req_id=req_id, text="The system shall log.",
-            source=RequirementSource.NATURAL_LANGUAGE)
+    def _record(self, req_id="R-1", **fields):
+        fields.setdefault("source", "resa")
+        return RequirementRecord(Requirement(
+            rid=req_id, title=req_id, text="The system shall log.",
+            **fields))
 
     def test_add_and_lookup(self):
         repository = RequirementRepository()
         repository.add(self._record())
         assert "R-1" in repository
-        assert repository.get("R-1").text == "The system shall log."
+        assert repository.get("R-1").ir.text == "The system shall log."
         assert len(repository) == 1
 
     def test_duplicate_id_rejected(self):
@@ -142,16 +147,13 @@ class TestRepository:
 
     def test_queries(self):
         repository = RequirementRepository()
-        first = repository.add(self._record("R-1"))
-        second = repository.add(RequirementRecord(
-            req_id="R-2", text="x", source=RequirementSource.STANDARD))
-        first.advance_to(RequirementStatus.ANALYZED)
-        assert [r.req_id for r in repository.with_status(
-            RequirementStatus.ANALYZED)] == ["R-1"]
-        assert [r.req_id for r in repository.at_least(
-            RequirementStatus.ELICITED)] == ["R-1", "R-2"]
-        assert [r.req_id for r in repository.from_source(
-            RequirementSource.STANDARD)] == ["R-2"]
+        repository.add(self._record("R-2", source="rqcode"))
+        repository.add(self._record("R-1", formalization=(
+            Formalization.from_objects(Absence("p"), Globally()))))
+        assert [ir.rid for ir in repository.irs()] == ["R-1", "R-2"]
+        assert [r.ir.rid for r in repository.formalized()] == ["R-1"]
+        assert [requirement_source(ir) for ir in repository.irs()] == [
+            RequirementSource.NATURAL_LANGUAGE, RequirementSource.STANDARD]
 
     def test_status_histogram_and_rows(self):
         repository = RequirementRepository()
@@ -165,16 +167,15 @@ class TestRepository:
 
     def test_trace_column_commits_to_provenance_chain(self):
         repository = RequirementRepository()
-        record = self._record()
-        record.provenance = "CVE-2024-0001"
+        record = self._record(
+            provenance=(Provenance("cve", "CVE-2024-0001"),))
         repository.add(record)
         row = repository.traceability_rows()[0]
-        chain = record.to_ir().provenance_chain_digest()
+        chain = record.ir.provenance_chain_digest()
         assert row["trace"] == chain[:12]
         # The digest commits to the source: a different provenance
         # yields a different trace cell.
-        other = self._record("R-2")
-        other.provenance = "CVE-2024-0002"
-        repository.add(other)
+        repository.add(self._record(
+            "R-2", provenance=(Provenance("cve", "CVE-2024-0002"),)))
         rows = repository.traceability_rows()
         assert rows[0]["trace"] != rows[1]["trace"]

@@ -152,9 +152,10 @@ REQ-3: unstructured prose that matches nothing
         orchestrator = VeriDevOpsOrchestrator()
         records = orchestrator.ingest_resa_document(self.DOCUMENT)
         assert len(records) == 2
-        assert all(r.pattern is not None for r in records)
-        assert records[0].provenance.startswith("REQ-1")
-        assert "boilerplate B1" in records[0].provenance
+        assert all(r.ir.formalization.pattern_kind for r in records)
+        origin = records[0].ir.provenance[0]
+        assert origin.detail.startswith("REQ-1")
+        assert "boilerplate B1" in origin.detail
 
     def test_ingested_records_flow_through_pipeline(self, ubuntu_default):
         orchestrator = VeriDevOpsOrchestrator()

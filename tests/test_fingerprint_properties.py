@@ -12,7 +12,6 @@ import importlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.repository import RequirementRecord, RequirementSource
 from repro.ta.automaton import ClockConstraint, Edge, Location, TimedAutomaton
 from repro.ta.system import Network
 from tests.test_prevention_cache import reference_fingerprint
@@ -123,22 +122,13 @@ def test_direct_json_equals_the_reference(network):
 @given(network=networks(),
        query_texts=st.lists(st.one_of(names(), st.sampled_from(
            ["E<> A0.l1", " A[]  not\tdeadlock\n", "é --> \\"])),
-           min_size=1, max_size=4),
-       requirement_texts=st.lists(names(), max_size=2))
-@example(network=awkward_network(), query_texts=['E<> "\U0001f512"'],
-         requirement_texts=["\x00 é"])
-def test_shared_memo_digests_equal_the_reference(network, query_texts,
-                                                 requirement_texts):
-    requirements = [None] + [
-        RequirementRecord(req_id=f"R{index}", text=f"lock {text}",
-                          source=RequirementSource.NATURAL_LANGUAGE)
-        for index, text in enumerate(requirement_texts)]
+           min_size=1, max_size=4))
+@example(network=awkward_network(), query_texts=['E<> "\U0001f512"'])
+def test_shared_memo_digests_equal_the_reference(network, query_texts):
     memo = {}
     for text in query_texts:
-        for requirement in requirements:
-            assert fingerprint_task(network, text, requirement,
-                                    memo=memo) == \
-                reference_fingerprint(network, text, requirement)
+        assert fingerprint_task(network, text, memo=memo) == \
+            reference_fingerprint(network, text)
     assert list(memo) == [id(network)]
 
 

@@ -74,7 +74,7 @@ class TestVulnDrivenPipeline:
         assert run.passed, run.gate_rows()
         formalized = orchestrator.repository.formalized()
         assert formalized
-        assert all(record.tctl for record in formalized)
+        assert all(record.ir.formalization.tctl for record in formalized)
 
 
 class TestHostEventsToTears:

@@ -125,7 +125,7 @@ class TestRunPreventionRiskPlumbing:
         orchestrator.ingest_standards("ubuntu")
         index = RiskIndex(RiskScorer(fleet_size=1))
         for record in orchestrator.repository.all():
-            index.put(record.req_id, 1.0)
+            index.put(record.ir.rid, 1.0)
         run = orchestrator.run_prevention(
             [hardened_ubuntu_host("risky-00")], risk=index)
         assert run.passed

@@ -19,10 +19,9 @@ from repro.core.gates import VerificationGate, _verdict_to_dict
 from repro.core.pipeline import PipelineContext
 from repro.prevention import (
     bundled_verification_tasks,
-    fingerprint_requirement,
     fingerprint_task,
 )
-from repro.core.repository import RequirementRecord, RequirementSource
+from repro.reqs.ir import Requirement
 from repro.ta.automaton import Edge, Location, TimedAutomaton, parse_guard
 from repro.ta.checker import ZoneGraphChecker
 from repro.ta.query import parse_query
@@ -67,13 +66,12 @@ class TestFingerprintStability:
 
     def test_requirement_text_changes_fingerprint(self):
         def record(text):
-            return RequirementRecord(
-                req_id="R1", text=text,
-                source=RequirementSource.NATURAL_LANGUAGE)
-        assert fingerprint_requirement(record("lock after 3 attempts")) != \
-            fingerprint_requirement(record("lock after 5 attempts"))
-        assert fingerprint_requirement(record("lock after 3 attempts")) == \
-            fingerprint_requirement(record("lock after 3 attempts"))
+            return Requirement(rid="R1", title="", text=text,
+                               source="resa")
+        assert record("lock after 3 attempts").fingerprint() != \
+            record("lock after 5 attempts").fingerprint()
+        assert record("lock after 3 attempts").fingerprint() == \
+            record("lock after 3 attempts").fingerprint()
 
 
 class RecordingCache:
@@ -96,15 +94,12 @@ class RecordingCache:
         return {}
 
 
-def reference_fingerprint(network, query_text, requirement=None):
+def reference_fingerprint(network, query_text):
     """The task digest spelled out as one plain document."""
-    body = {"checker": fingerprint_module.CHECKER_VERSION,
-            "network": fingerprint_module.canonical_network(network),
-            "query": " ".join(query_text.split())}
-    if requirement is not None:
-        body["requirement"] = \
-            fingerprint_module.canonical_requirement(requirement)
-    return fingerprint_module.fingerprint(body)
+    return fingerprint_module.fingerprint(
+        {"checker": fingerprint_module.CHECKER_VERSION,
+         "network": fingerprint_module.canonical_network(network),
+         "query": " ".join(query_text.split())})
 
 
 def ring_shape_tasks():
@@ -148,17 +143,12 @@ class TestBatchFingerprintIdentity:
         assert fingerprint_task(network, text) == self.GOLDEN
         assert fingerprint_task(network, text, memo={}) == self.GOLDEN
 
-    def test_memo_matches_with_a_requirement_and_spacing_variants(self):
-        record = RequirementRecord(
-            req_id="R1", text="lock after 3 attempts",
-            source=RequirementSource.NATURAL_LANGUAGE)
+    def test_memo_matches_with_spacing_variants(self):
         network = small_network()
         memo = {}
         for text in ("E<> M.on", "E<>   M.on", " E<>\tM.on\n"):
-            for requirement in (None, record):
-                assert fingerprint_task(
-                    network, text, requirement, memo=memo) == \
-                    reference_fingerprint(network, text, requirement)
+            assert fingerprint_task(network, text, memo=memo) == \
+                reference_fingerprint(network, text)
         assert list(memo) == [id(network)]
 
     def test_one_canonical_network_per_network_per_evaluation(
@@ -172,10 +162,10 @@ class TestBatchFingerprintIdentity:
             calls.append(id(network))
             return original(network)
 
-        def recording(network, query_text, requirement=None, memo=None):
+        def recording(network, query_text, memo=None):
             if not any(memo is seen for seen in memos):
                 memos.append(memo)
-            return original_task(network, query_text, requirement, memo)
+            return original_task(network, query_text, memo)
 
         monkeypatch.setattr(fingerprint_module, "canonical_network_json",
                             counting)

@@ -17,10 +17,10 @@ from repro.core import (
     repository_from_json,
     repository_to_json,
 )
-from repro.core.repository import RequirementRecord
+from repro.core.repository import requirement_source
 from repro.environment import default_ubuntu_host, default_windows_host
-from repro.prevention import fingerprint_ir, fingerprint_requirement
 from repro.reqs import default_registry
+from repro.reqs.ir import _digest
 from repro.reqs.adapters import ResaAdapter, RqcodeAdapter
 from repro.rqcode.catalog import default_catalog
 
@@ -71,13 +71,13 @@ class TestResaAdapter:
         assert record.formalization is not None
         assert record.target_kind == "monitor"
         assert record.provenance[0].kind == "resa"
-        assert "boilerplate" in record.legacy_provenance()
+        assert "boilerplate" in record.provenance[0].detail
 
     def test_freeform_statement_still_lowers(self):
         (record,) = ResaAdapter().lower(["Entirely freeform prose."])
         assert record.formalization is None
         assert record.target_kind == "document"
-        assert record.legacy_provenance() \
+        assert record.provenance[0].detail \
             == "free-form (no boilerplate match)"
 
 
@@ -118,9 +118,8 @@ class TestFingerprintParity:
         explicit_records = explicit.repository.all()
         assert len(native_records) == len(explicit_records)
         for ours, theirs in zip(native_records, explicit_records):
-            assert fingerprint_requirement(ours) \
-                == fingerprint_requirement(theirs)
-            assert ours.to_ir() == theirs.to_ir()
+            assert ours.ir.fingerprint() == theirs.ir.fingerprint()
+            assert ours.ir == theirs.ir
 
     def test_native_nl_vs_registry_path(self, registry):
         statements = [
@@ -136,15 +135,14 @@ class TestFingerprintParity:
                                           ids=explicit._ids("NL")))
         for ours, theirs in zip(native.repository.all(),
                                 explicit.repository.all()):
-            assert fingerprint_requirement(ours) \
-                == fingerprint_requirement(theirs)
+            assert ours.ir.fingerprint() == theirs.ir.fingerprint()
 
-    def test_record_and_ir_share_the_digest(self):
-        orchestrator = VeriDevOpsOrchestrator()
-        (record, *_rest) = orchestrator.ingest_standards("ubuntu")
-        assert fingerprint_requirement(record) \
-            == fingerprint_ir(record.to_ir()) \
-            == record.to_ir().fingerprint()
+    def test_record_and_ir_share_the_digest(self, registry):
+        # The repository stores the ingested IR itself, not a copy.
+        ir = registry.lower_bundled("rqcode")[0]
+        record = RequirementRepository().add_ir(ir)
+        assert record.ir is ir
+        assert record.ir.fingerprint() == _digest(ir.canonical_json())
 
 
 class TestOrchestratorFrontends:
@@ -152,19 +150,13 @@ class TestOrchestratorFrontends:
         orchestrator = VeriDevOpsOrchestrator()
         records = orchestrator.ingest_frontend("standards")
         assert records
-        assert all(r.source is RequirementSource.STANDARD
+        assert all(requirement_source(r.ir) is RequirementSource.STANDARD
                    for r in records)
-        assert all(r.frontend == "standards" for r in records)
+        assert all(r.ir.source == "standards" for r in records)
 
     def test_ingest_frontend_unknown_raises(self):
         with pytest.raises(KeyError):
             VeriDevOpsOrchestrator().ingest_frontend("attck")
-
-    def test_legacy_provenance_strings_survive(self):
-        orchestrator = VeriDevOpsOrchestrator()
-        orchestrator.ingest_iec62443("ubuntu")
-        record = orchestrator.repository.get("IEC-001")
-        assert record.provenance.startswith("IEC 62443-3-3 ")
 
 
 class TestRepositoryIr:
@@ -173,16 +165,8 @@ class TestRepositoryIr:
         repository = RequirementRepository.from_irs(irs)
         assert len(repository) == len(irs)
         for ir in irs:
-            assert repository.get_ir(ir.rid) == ir
+            assert repository.get(ir.rid).ir is ir
         assert repository.irs() == sorted(irs, key=lambda r: r.rid)
-
-    def test_from_frontend_filters(self, registry):
-        repository = RequirementRepository.from_irs(
-            registry.lower_bundled("vulndb")
-            + registry.lower_bundled("resa"))
-        vulndb = repository.from_frontend("vulndb")
-        assert vulndb and all(r.frontend == "vulndb" for r in vulndb)
-        assert repository.from_frontend("rqcode") == []
 
     def test_duplicate_groups_cross_source(self, registry):
         (record,) = registry.lower_bundled("vulndb")[:1]
@@ -202,24 +186,8 @@ class TestRepositoryIr:
             registry.lower_bundled("standards"))
         restored = repository_from_json(repository_to_json(repository))
         for before, after in zip(repository.all(), restored.all()):
-            assert after.title == before.title
-            assert after.frontend == before.frontend
-            assert after.tags == before.tags
-            assert after.provenance_chain == before.provenance_chain
-            assert after.to_ir() == before.to_ir()
-            assert fingerprint_requirement(after) \
-                == fingerprint_requirement(before)
-
-    def test_hand_built_record_still_canonicalizes(self):
-        record = RequirementRecord(
-            req_id="NL-001",
-            text="The system shall log all access.",
-            source=RequirementSource.NATURAL_LANGUAGE,
-            provenance="handwritten")
-        ir = record.to_ir()
-        assert ir.source == "resa"
-        assert ir.provenance[0].kind == "legacy"
-        assert ir.legacy_provenance() == "handwritten"
+            assert after.ir == before.ir
+            assert after.ir.fingerprint() == before.ir.fingerprint()
 
 
 class TestGateIrEntry:

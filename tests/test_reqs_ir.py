@@ -216,13 +216,6 @@ class TestProvenanceLint:
         with pytest.raises(AdapterContractError, match="duplicate"):
             lint_requirements([self.ok(), self.ok()])
 
-    def test_legacy_provenance_string(self):
-        assert self.ok().legacy_provenance() == "golden fixture"
-        detail_free = Requirement(
-            rid="R-1", title="t", text="x", source="resa",
-            provenance=(Provenance("resa", "REQ-9"),))
-        assert detail_free.legacy_provenance() == "resa:REQ-9"
-
 
 class TestSchema:
     def test_every_bundled_record_is_schema_valid(self):
