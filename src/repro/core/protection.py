@@ -17,6 +17,7 @@ between the violation and its detection — the E2 metric.
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
+from repro.core.drift import OBJECT_FIELDS, event_atom
 from repro.environment.events import Event
 from repro.environment.host import SimulatedHost
 from repro.ltl.compile import step_monitors
@@ -62,34 +63,52 @@ class Incident:
         )
 
 
-#: kind -> its proposition list / step, computed once per event kind.
-_PROPOSITIONS: Dict[str, List[str]] = {}
+#: Bound on the (kind, object) step memo: distinct drifted objects are
+#: open-ended, so the memo starts over past this many.
+STEP_MEMO_LIMIT = 4096
+
+#: kind -> step, for every kind that names no drifted object.
 _STEPS: Dict[str, FrozenSet[str]] = {}
+#: (kind, object field values...) -> step, for drift events that do.
+_OBJECT_STEPS: Dict[tuple, FrozenSet[str]] = {}
 
 
 def event_propositions(event: Event) -> List[str]:
     """Propositions an event contributes to a monitoring step.
 
     The full kind plus every dotted prefix, so ``drift.audit`` satisfies
-    atoms ``drift.audit`` and ``drift``.  Memoized per kind (event kinds
-    form a small closed vocabulary); treat the result as read-only.
+    atoms ``drift.audit`` and ``drift``; a drift event that names its
+    object adds that object's atom (:func:`~repro.core.drift.
+    event_atom`), such as ``drift.package.telnetd``, which only the
+    detectors bound to that package watch.
     """
-    propositions = _PROPOSITIONS.get(event.kind)
-    if propositions is None:
-        parts = event.kind.split(".")
-        propositions = [".".join(parts[:i])
-                        for i in range(1, len(parts) + 1)]
-        _PROPOSITIONS[event.kind] = propositions
+    parts = event.kind.split(".")
+    propositions = [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
+    atom = event_atom(event.kind, event.payload)
+    if atom is not None:
+        propositions.append(atom)
     return propositions
 
 
 def event_step(event: Event) -> FrozenSet[str]:
-    """The event's propositions as a monitoring step, memoized per kind
-    so the hot paths never rebuild the frozenset."""
+    """The event's propositions as a monitoring step, memoized so the
+    hot paths never rebuild the frozenset: one dict lookup per kind for
+    kinds that name no object, and per (kind, object) for drift events
+    (a bounded memo, :data:`STEP_MEMO_LIMIT`)."""
     step = _STEPS.get(event.kind)
+    if step is not None:
+        return step
+    fields = OBJECT_FIELDS.get(event.kind)
+    if fields is None:
+        step = _STEPS[event.kind] = frozenset(event_propositions(event))
+        return step
+    payload = event.payload
+    key = (event.kind, *[payload.get(name) for name in fields])
+    step = _OBJECT_STEPS.get(key)
     if step is None:
-        step = frozenset(event_propositions(event))
-        _STEPS[event.kind] = step
+        if len(_OBJECT_STEPS) >= STEP_MEMO_LIMIT:
+            _OBJECT_STEPS.clear()
+        step = _OBJECT_STEPS[key] = frozenset(event_propositions(event))
     return step
 
 

@@ -142,8 +142,6 @@ class ProcessBackend:
         self._kind_ids: Dict[str, int] = {}
         self.kind_names: List[str] = []
         self._kind_lock = threading.Lock()
-        #: kind -> packed vocabulary bits (projection memo).
-        self._kind_bits: Dict[str, Tuple[int, ...]] = {}
 
         self.ingress: List[SpscRing] = []
         self.merge_rings: List[SpscRing] = []
@@ -232,8 +230,10 @@ class ProcessBackend:
         """A per-host enqueue closure (the ingress hot path).
 
         Resolves host id, shard, and ring once; per event the closure
-        costs two memoized lookups (kind id, projected bits), one pack
-        into shared memory, and a cursor publish.
+        costs three memoized lookups (kind id, the event's step, and the
+        step's projected bits: a drift event's step names its object, so
+        the bits are memoized per step, not per kind), one pack into
+        shared memory, and a cursor publish.
         """
         host_id = self._host_id[host_name]
         shard = self.service._placement[host_name]
@@ -241,7 +241,6 @@ class ProcessBackend:
         codec = self.codec
         pack = codec.pack_event
         project = codec.project
-        kind_bits = self._kind_bits
         kind_ids = self._kind_ids
         blocking = self.policy is Backpressure.BLOCK
         peaks = self.peaks
@@ -251,10 +250,7 @@ class ProcessBackend:
             kind_id = kind_ids.get(kind)
             if kind_id is None:
                 kind_id = self._kind_id(kind)
-            bits = kind_bits.get(kind)
-            if bits is None:
-                bits = kind_bits.setdefault(kind,
-                                            project(event_step(event)))
+            bits = project(event_step(event))
             while True:
                 if ring.closed:
                     raise QueueClosed("put into closed ring")
@@ -403,9 +399,6 @@ class ProcessBackend:
             for _host, _req, monitor, _bindings in adds:
                 new_atoms |= monitor.formula.atoms()
             appended = self.codec.extend(sorted(new_atoms))
-            if appended:
-                with self._kind_lock:
-                    self._kind_bits.clear()
             pend: Dict[int, Tuple[list, list]] = {}
             for host_name, req_id in removes:
                 mon_id = self._mon_id.pop((host_name, req_id), None)

@@ -77,6 +77,9 @@ REASONS = (
 )
 REASON_CODES = {reason: code for code, reason in enumerate(REASONS)}
 
+#: Bound on the parent-side step -> bits memo (:meth:`EventCodec.project`).
+BITS_MEMO_LIMIT = 4096
+
 _VERDICT_CODES = {"TRUE": 0, "FALSE": 1, "INCONCLUSIVE": 2}
 _VERDICT_NAMES = {code: name for name, code in _VERDICT_CODES.items()}
 
@@ -121,8 +124,9 @@ class EventCodec:
         # One struct for the whole EVENT record: a single pack/unpack
         # call per event on both sides of the plane.
         self._event_struct = struct.Struct("<BIIQ" + "Q" * self.words)
-        #: step frozenset -> packed bit words, memoized (event kinds are
-        #: a small closed vocabulary, so this hits ~always).
+        #: step frozenset -> packed bit words, memoized.  Kinds are a
+        #: small closed vocabulary but drifted objects are not, so the
+        #: memo starts over past :data:`BITS_MEMO_LIMIT` steps.
         self._bits_memo: Dict[FrozenSet[str], Tuple[int, ...]] = {}
         #: packed bit words -> step frozenset (worker-side memo).
         self._step_memo: Dict[Tuple[int, ...], FrozenSet[str]] = {}
@@ -171,15 +175,18 @@ class EventCodec:
 
     def project(self, step: FrozenSet[str]) -> Tuple[int, ...]:
         """The step's vocabulary projection as packed bit words."""
-        bits = self._bits_memo.get(step)
+        memo = self._bits_memo
+        bits = memo.get(step)
         if bits is None:
+            if len(memo) >= BITS_MEMO_LIMIT:
+                memo.clear()
             words = [0] * self.words
             bit = self.bit
             for atom in step:
                 index = bit.get(atom)
                 if index is not None:
                     words[index >> 6] |= 1 << (index & 63)
-            bits = self._bits_memo.setdefault(step, tuple(words))
+            bits = memo.setdefault(step, tuple(words))
         return bits
 
     def unproject(self, bits: Tuple[int, ...]) -> FrozenSet[str]:

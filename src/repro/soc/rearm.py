@@ -55,6 +55,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.drift import finding_atom, finding_kind
 from repro.core.orchestrator import _event_compatible
 from repro.core.repository import FRONTEND_SOURCES, RequirementSource
 from repro.ltl.compile import CompiledMonitor
@@ -66,43 +67,18 @@ from repro.soc.queues import QueueClosed
 from repro.soc.sessions import SessionPatch, ShardPatch
 from repro.soc.workers import apply_shard_patch
 
-@functools.lru_cache(maxsize=1)
-def _drift_kinds() -> Tuple[Tuple[type, str], ...]:
-    """The rqcode pattern classes and the drift kind each one watches,
-    in precedence order.  Resolved once, on first use: importing
-    :mod:`repro.rqcode` at module load would close an import cycle."""
-    from repro.rqcode.ubuntu import (
-        UbuntuConfigPattern,
-        UbuntuPackagePattern,
-        UbuntuServicePattern,
-    )
-    from repro.rqcode.win10 import AuditPolicyRequirement
-    from repro.rqcode.win10_accounts import AccountPolicyRequirement
-    from repro.rqcode.win10_registry import RegistryValueRequirement
-
-    return ((UbuntuPackagePattern, "drift.package"),
-            (UbuntuConfigPattern, "drift.config"),
-            (UbuntuServicePattern, "drift.service"),
-            (AuditPolicyRequirement, "drift.audit"),
-            (RegistryValueRequirement, "drift.registry"),
-            (AccountPolicyRequirement, "drift.account"))
-
-
 def drift_atom(catalog, finding_ids: Sequence[str]) -> str:
-    """The drift-event kind a finding set's monitor should watch.
+    """The drift-event kind a finding set breaks.
 
-    Package findings care about ``drift.package``, configuration
-    findings about ``drift.config``, and so on; mixed or unknown
-    shapes fall back to the coarse ``drift`` prefix.
+    Package findings break on ``drift.package``, configuration
+    findings on ``drift.config``, and so on; mixed kinds fall back to
+    the coarse ``drift`` prefix, and findings of unknown class are
+    skipped.  This groups findings by class; a detector watches the
+    findings' objects (:func:`drift_entry`).
     """
-    drift_kinds = _drift_kinds()
-    kinds = set()
-    for finding_id in finding_ids:
-        cls = catalog.get(finding_id).requirement_class
-        for pattern_class, kind in drift_kinds:
-            if issubclass(cls, pattern_class):
-                kinds.add(kind)
-                break
+    kinds = {finding_kind(catalog, finding_id)
+             for finding_id in finding_ids}
+    kinds.discard(None)
     if len(kinds) == 1:
         return kinds.pop()
     return "drift"
@@ -121,9 +97,13 @@ def drift_entry(record: Requirement, host, catalog) -> Optional[Entry]:
     """The drift detector arming *record* on *host*, if any.
 
     A standard-sourced record bound to catalogue findings arms
-    ``G !<kind>`` under ``<rid>/drift``, bound to the findings that
-    apply to the host's platform (a Windows binding is never enforced
-    on an Ubuntu box).  Cold plans
+    ``G !(o1 | ... | on)`` under ``<rid>/drift``, bound to the findings
+    that apply to the host's platform (a Windows binding is never
+    enforced on an Ubuntu box).  Each finding contributes the atom it
+    watches (:func:`~repro.core.drift.finding_atom`: its object, else
+    its kind, else ``drift``), sorted so the formula does not depend on
+    the binding order, and only a drift of one of those objects trips
+    the detector.  Cold plans
     (:meth:`~repro.core.orchestrator.VeriDevOpsOrchestrator.
     protection_plan`) and live re-arming both arm drift through here.
     """
@@ -134,9 +114,10 @@ def drift_entry(record: Requirement, host, catalog) -> Optional[Entry]:
                         and catalog.get(fid).platform == host.os_family])
     if not applicable:
         return None
-    atom = drift_atom(catalog, applicable)
+    atoms = sorted({finding_atom(catalog, fid) for fid in applicable})
+    watched = atoms[0] if len(atoms) == 1 else f"({' | '.join(atoms)})"
     return (f"{record.rid}/drift",
-            CompiledMonitor(parse_ltl(f"G !{atom}")), applicable)
+            CompiledMonitor(parse_ltl(f"G !{watched}")), applicable)
 
 
 def monitor_entries(record: Requirement, host, catalog) -> List[Entry]:
