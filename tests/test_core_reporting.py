@@ -43,7 +43,10 @@ class TestSecurityReport:
         text = report_for_cycle(orchestrator, run, loop).render()
         assert "effective repairs" in text
         assert "| yes |" in text       # the nis repair
-        assert "re-check" in text      # sibling package findings
+        # Only the nis detector watches the drifted package: no sibling
+        # package finding is re-checked.
+        assert "1 detections, 1 effective repairs." in text
+        assert "re-check" not in text
 
     def test_failed_pipeline_reported(self, ubuntu_default):
         orchestrator = VeriDevOpsOrchestrator()

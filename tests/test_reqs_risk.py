@@ -143,7 +143,8 @@ class TestSocIntegration:
         service = SocService(hosts, catalog, plans, shards=1,
                              risk=index).start()
         try:
-            hosts[0].drift_install_package("telnetd")
+            # R-1 watches auditd and rsyslog.
+            hosts[0].drift_remove_package("auditd")
             service.drain()
         finally:
             service.stop()

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import ChaosController, FaultPlan, check_invariants
+from repro.core.drift import finding_atom
 from repro.environment import hardened_ubuntu_host, hardened_windows_host
 from repro.ltl.parser import parse_ltl
 from repro.reqs.ir import Formalization, Provenance, Requirement
@@ -109,8 +110,10 @@ class TestPlanning:
         req_id, monitor, bindings = entries[0]
         assert req_id == "R-1/drift"
         assert set(bindings) == set(UBUNTU_FINDINGS[:2])
+        # A package and a service finding: each watches its own object.
+        assert drift_atom(CATALOG, UBUNTU_FINDINGS[:2]) == "drift"
         assert monitor.formula is parse_ltl(
-            f"G !{drift_atom(CATALOG, UBUNTU_FINDINGS[:2])}")
+            "G !(drift.package.auditd | drift.service.rsyslog)")
 
     def test_record_with_no_applicable_findings_arms_nothing(self):
         record = rec("R-1", WINDOWS_FINDINGS[:2])
@@ -254,25 +257,28 @@ class TestStatePreservation:
         assert verdicts[("web-01", "R-F")][0] == "INCONCLUSIVE"
 
     def test_rebind_keeps_monitor_object_thread_backend(self):
-        packages = [f for f in UBUNTU_FINDINGS
-                    if drift_atom(CATALOG, [f]) == "drift.package"]
-        records = [rec("R-1", packages[:2])]
-        hosts = build_hosts(ubuntu=1)
+        # A Windows audit success/failure pair on one subcategory: both
+        # findings watch the same object.
+        logon = [f for f in WINDOWS_FINDINGS
+                 if finding_atom(CATALOG, f) == "drift.audit.Logon"]
+        assert len(logon) == 2
+        records = [rec("R-1", logon)]
+        hosts = build_hosts(ubuntu=0, windows=1)
         soc = arm(records, hosts, shards=1)
         stream = ReqStream()
         stream.commit(stream.diff(records))
-        session = soc.sessions["web-00"]
+        session = soc.sessions["console-00"]
         before = session.monitors["R-1/drift"]
-        # Same drift atom (both package findings) -> same interned
-        # formula -> rebind, not replace.
-        delta = stream.diff([rec("R-1", packages[:1])])
+        # Same watched object -> same interned formula -> rebind, not
+        # replace.
+        delta = stream.diff([rec("R-1", logon[:1])])
         report = Rearmer(soc).apply(delta)
         stream.commit(delta)
         soc.stop()
         assert report.summary()["rebound"] == 1
         assert report.summary()["added"] == 0
         assert session.monitors["R-1/drift"] is before
-        assert session.bindings["R-1/drift"] == [packages[0]]
+        assert session.bindings["R-1/drift"] == [logon[0]]
 
     def test_changed_formula_rearms_fresh(self):
         records = [ltl_rec("R-L", "G !custom.one")]
@@ -300,14 +306,16 @@ class TestZeroGap:
         # Drift injected *before* the re-arm (still queued) and *after*
         # it must both be detected and repaired: the patch rides the
         # event stream, so no window exists in which either bank is
-        # down.
+        # down.  Each drift trips exactly the detector watching its
+        # package: R-1 (auditd, rsyslog) before, R-2 (telnetd, nis)
+        # after.
         records = [rec("R-1", UBUNTU_FINDINGS[:2])]
         hosts = build_hosts(ubuntu=3)
         soc = arm(records, hosts, backend=backend)
         stream = ReqStream()
         stream.commit(stream.diff(records))
         for host in hosts:
-            host.drift_install_package("telnetd")   # in flight...
+            host.drift_remove_package("auditd")     # in flight...
         delta = stream.diff([rec("R-2", UBUNTU_FINDINGS[2:4])])
         Rearmer(soc).apply(delta)                   # ...while patching
         stream.commit(delta)
@@ -315,10 +323,12 @@ class TestZeroGap:
             host.drift_install_package("nis")       # after the patch
         soc.drain()
         soc.stop()
-        incidents = soc.incidents()
-        assert len(incidents) >= 2 * len(hosts)
+        by_host = soc.incidents_by_host()
         for host in hosts:
-            assert not host.dpkg.is_installed("telnetd")
+            assert sorted(incident.req_id for incident
+                          in by_host[host.name]) == ["R-1/drift",
+                                                     "R-2/drift"]
+            assert host.dpkg.is_installed("auditd")
             assert not host.dpkg.is_installed("nis")
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -547,6 +557,9 @@ PACKAGE_FINDINGS = [f for f in UBUNTU_FINDINGS
                     if drift_atom(CATALOG, [f]) == "drift.package"]
 CONFIG_FINDINGS = [f for f in UBUNTU_FINDINGS
                    if drift_atom(CATALOG, [f]) == "drift.config"]
+#: The detector of a record bound to ``CONFIG_FINDINGS[0]`` alone.
+CONFIG_DETECTOR = parse_ltl(
+    f"G !{finding_atom(CATALOG, CONFIG_FINDINGS[0])}")
 
 
 def unstarted(records, hosts, shards=1):
@@ -580,7 +593,7 @@ class TestThreadDelivery:
             assert len(session._patched) == 1
             applied |= session._patched
             assert session.monitors["R-1/drift"].formula \
-                is parse_ltl("G !drift.config")
+                is CONFIG_DETECTOR
         assert applied == set(report.tokens)
         soc.stop()
         counters = soc.metrics_snapshot()["counters"]
@@ -607,7 +620,7 @@ class TestThreadDelivery:
                 in soc.incidents_by_host()["web-00"]] == ["R-1/drift"]
         for host in hosts:
             assert soc.sessions[host.name].monitors["R-1/drift"].formula \
-                is parse_ltl("G !drift.config")
+                is CONFIG_DETECTOR
 
     def test_patch_waits_behind_a_failed_hosts_deferred_events(self):
         # web-00's drift fails once and is deferred; the shard item
