@@ -14,35 +14,28 @@ end-to-end table is a walk over these records.
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
 from repro.reqs.ir import Requirement
+from repro.reqs.registry import RequirementSource, default_registry
 
 
-class RequirementSource(enum.Enum):
-    """Where a requirement came from (the three WP2 inputs)."""
-
-    NATURAL_LANGUAGE = "natural-language"
-    VULNERABILITY_DB = "vulnerability-db"
-    STANDARD = "standard"
-
-
-#: Front-end registry name -> coarse WP2 source.  Front-ends missing
-#: here count as natural language.
-FRONTEND_SOURCES: Dict[str, RequirementSource] = {
-    "nalabs": RequirementSource.NATURAL_LANGUAGE,
-    "resa": RequirementSource.NATURAL_LANGUAGE,
-    "rqcode": RequirementSource.STANDARD,
-    "standards": RequirementSource.STANDARD,
-    "vulndb": RequirementSource.VULNERABILITY_DB,
-}
+@functools.lru_cache(maxsize=1)
+def frontend_sources() -> Dict[str, RequirementSource]:
+    """Front-end name -> WP2 source, as each bundled adapter declares
+    it (:attr:`~repro.reqs.registry.FrontendAdapter.
+    requirement_source`)."""
+    return default_registry().sources()
 
 
 def requirement_source(ir: Requirement) -> RequirementSource:
-    """The WP2 source of the front-end *ir* was lowered from."""
-    return FRONTEND_SOURCES.get(ir.source,
-                                RequirementSource.NATURAL_LANGUAGE)
+    """The WP2 source of the front-end *ir* was lowered from; records
+    of a front-end the registry does not know count as natural
+    language."""
+    return frontend_sources().get(ir.source,
+                                  RequirementSource.NATURAL_LANGUAGE)
 
 
 class RequirementStatus(enum.Enum):

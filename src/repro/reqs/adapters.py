@@ -38,7 +38,7 @@ import itertools
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.reqs.ir import Formalization, Provenance, Requirement
-from repro.reqs.registry import FrontendAdapter
+from repro.reqs.registry import FrontendAdapter, RequirementSource
 from repro.specpatterns.ltl_mappings import PatternScopeUnsupported, to_ltl
 from repro.specpatterns.tctl_mappings import to_tctl
 
@@ -70,6 +70,7 @@ class NalabsAdapter(FrontendAdapter):
     """Prose requirements with NALABS quality metadata as tags."""
 
     name = "nalabs"
+    requirement_source = RequirementSource.NATURAL_LANGUAGE
     native = "RequirementText / RequirementReport"
 
     def __init__(self, analyzer=None):
@@ -128,6 +129,7 @@ class ResaAdapter(FrontendAdapter):
     """
 
     name = "resa"
+    requirement_source = RequirementSource.NATURAL_LANGUAGE
     native = "statement str / StructuredRequirement"
 
     def id_factory(self):
@@ -213,6 +215,7 @@ class RqcodeAdapter(FrontendAdapter):
     """
 
     name = "rqcode"
+    requirement_source = RequirementSource.STANDARD
     native = "CatalogEntry"
 
     def __init__(self, catalog=None):
@@ -272,6 +275,7 @@ class VulndbAdapter(FrontendAdapter):
     """CVE-derived requirements from the vulnerability database."""
 
     name = "vulndb"
+    requirement_source = RequirementSource.VULNERABILITY_DB
     native = "GeneratedRequirement"
 
     #: Pattern family -> pattern builder, mirroring the WP2 mapping.
@@ -347,6 +351,7 @@ class StandardsAdapter(FrontendAdapter):
     """
 
     name = "standards"
+    requirement_source = RequirementSource.STANDARD
     native = "SystemRequirement [+ bindings]"
 
     def lower(self, natives: Sequence,
@@ -422,6 +427,7 @@ class CweAdapter(FrontendAdapter):
     """
 
     name = "cwe"
+    requirement_source = RequirementSource.VULNERABILITY_DB
     native = "CweEntry / 'CWE-nnn' id"
 
     @staticmethod
@@ -485,6 +491,7 @@ class CapecAdapter(FrontendAdapter):
     """
 
     name = "capec"
+    requirement_source = RequirementSource.VULNERABILITY_DB
     native = "AttackPattern / 'CAPEC-nnn' id"
 
     @staticmethod

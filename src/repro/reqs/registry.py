@@ -15,11 +15,20 @@ at the adapter boundary, instead of surfacing as an untraceable
 artifact three stages later.
 """
 
+import enum
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Union)
 
 from repro.reqs.ir import Requirement
+
+
+class RequirementSource(enum.Enum):
+    """Where a requirement came from (the three WP2 inputs)."""
+
+    NATURAL_LANGUAGE = "natural-language"
+    VULNERABILITY_DB = "vulnerability-db"
+    STANDARD = "standard"
 
 
 class AdapterContractError(ValueError):
@@ -63,8 +72,10 @@ class RejectedNative:
 class FrontendAdapter:
     """Base contract for front-end adapters.
 
-    Subclasses set :attr:`name` (the registry key) and :attr:`native`
-    (a one-line description of the native shape), and implement:
+    Subclasses set :attr:`name` (the registry key), :attr:`native`
+    (a one-line description of the native shape) and
+    :attr:`requirement_source` (the WP2 input their records count as),
+    and implement:
 
     * :meth:`lower` — native objects -> list of IR records.  ``ids``
       is an optional callable allocating requirement ids (the
@@ -82,6 +93,7 @@ class FrontendAdapter:
 
     name = "adapter"
     native = ""
+    requirement_source = RequirementSource.NATURAL_LANGUAGE
 
     def lower(self, natives: Sequence,
               ids: Optional[Callable[[], str]] = None
@@ -178,6 +190,11 @@ class FrontendRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._adapters)
+
+    def sources(self) -> Dict[str, RequirementSource]:
+        """Front-end name -> the WP2 source its adapter declares."""
+        return {name: adapter.requirement_source
+                for name, adapter in sorted(self._adapters.items())}
 
     def lower(self, name: str, natives: Sequence,
               ids: Optional[Callable[[], str]] = None

@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.drift import finding_atom, finding_kind
 from repro.core.orchestrator import _event_compatible
-from repro.core.repository import FRONTEND_SOURCES, RequirementSource
+from repro.core.repository import RequirementSource, frontend_sources
 from repro.ltl.compile import CompiledMonitor
 from repro.ltl.formulas import Formula
 from repro.ltl.parser import parse_ltl
@@ -86,10 +86,11 @@ def drift_atom(catalog, finding_ids: Sequence[str]) -> str:
 
 Entry = Tuple[str, CompiledMonitor, Tuple[str, ...]]
 
-#: Front-end names whose records are standard-sourced, read off
-#: :data:`~repro.core.repository.FRONTEND_SOURCES`.
+#: Front-end names whose records are standard-sourced, as their
+#: registered adapters declare (:func:`~repro.core.repository.
+#: frontend_sources`).
 _STANDARD_FRONTENDS = frozenset(
-    name for name, source in FRONTEND_SOURCES.items()
+    name for name, source in frontend_sources().items()
     if source is RequirementSource.STANDARD)
 
 
