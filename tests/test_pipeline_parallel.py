@@ -2,7 +2,6 @@
 safety of the shared context, and serial/parallel equivalence."""
 
 import threading
-import time
 
 import pytest
 
@@ -130,25 +129,25 @@ class TestConcurrentWrites:
 
 class TestParallelExecution:
     def test_independent_jobs_overlap(self):
-        # Four latency-bound jobs (external tool calls) on 4 workers
-        # must take ~1 sleep, not 4.
-        delay = 0.05
+        # Four independent jobs on 4 workers run at once: each waits at
+        # a 4-party barrier that opens only while all four are in
+        # flight, so a run that serialized them would break it on the
+        # timeout and fail.
+        barrier = threading.Barrier(4, timeout=10.0)
 
-        def slow(key):
+        def meet(key):
             def run(context):
-                time.sleep(delay)
+                barrier.wait()
                 context.put(key, True)
                 return ""
             return run
 
-        jobs = [job(f"j{i}", slow(f"k{i}"), writes=(f"k{i}",))
+        jobs = [job(f"j{i}", meet(f"k{i}"), writes=(f"k{i}",))
                 for i in range(4)]
         pipeline = Pipeline([Stage("s", jobs=jobs)])
-        started = time.perf_counter()
         run = pipeline.run(max_workers=4)
-        elapsed = time.perf_counter() - started
         assert run.passed
-        assert elapsed < 4 * delay
+        assert not barrier.broken
         assert all(run.context.get(f"k{i}") for i in range(4))
 
     def test_serial_and_parallel_runs_agree(self):
