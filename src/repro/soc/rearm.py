@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.drift import finding_atom, finding_kind
 from repro.core.orchestrator import _event_compatible
 from repro.core.repository import RequirementSource, frontend_sources
-from repro.ltl.compile import CompiledMonitor
+from repro.ltl.compile import CompiledMonitor, transition_table
 from repro.ltl.formulas import Formula
 from repro.ltl.parser import parse_ltl
 from repro.reqs.ir import Requirement
@@ -376,6 +376,11 @@ class Rearmer:
         patches: Dict[str, Tuple[tuple, ...]] = {}
         for platform, (adds, fresh, removes, rebinds) in templates.items():
             removes, rebinds = tuple(removes), tuple(rebinds)
+            # Each add's shared transition table, resolved once per
+            # template rather than once per host.
+            adds = [(req_id, formula, transition_table(formula),
+                     finding_ids)
+                    for req_id, formula, finding_ids in adds]
             for host_name in groups[platform]:
                 if fresh:
                     # An "added" record colliding with an armed req_id
@@ -384,8 +389,10 @@ class Rearmer:
                     report.monitors_removed += sum(
                         1 for req_id in fresh if req_id in armed)
                 patches[host_name] = (
-                    tuple([(req_id, CompiledMonitor(formula), finding_ids)
-                           for req_id, formula, finding_ids in adds]),
+                    tuple([(req_id, CompiledMonitor(formula, table),
+                            finding_ids)
+                           for req_id, formula, table, finding_ids
+                           in adds]),
                     removes, rebinds)
         return patches
 
