@@ -13,8 +13,10 @@ iff its current obligation is a fixed point of progression under a step
 containing none of the obligation's atoms
 (:func:`~repro.ltl.compile.empty_step_stable` — with interned formulas
 the probe is a memoized identity check).  Drift detectors
-(``G !drift.x``) have that property permanently, so a benign event
-touches only the handful of monitors actually watching its kind;
+(``G !(o1 | ... | on)`` over the drifted objects they guard, see
+:func:`~repro.soc.rearm.drift_entry`) have that property permanently,
+so a benign event touches none of them and a drift event only those
+watching its object;
 monitors whose obligation is empty-step-sensitive (``X p`` tails,
 pending ``U`` obligations) are kept on the run-every-event list until
 their obligation stabilises again.  The serial

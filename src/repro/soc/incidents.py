@@ -52,9 +52,11 @@ from repro.soc.sessions import Detection
 
 __all__ = ["IncidentPipeline"]
 
-#: Precheck verdicts, built once: most incidents on a drift-dense fleet
-#: settle here (one drift trips every detector watching its kind, and
-#: all but one of them find their finding already compliant).
+#: Precheck verdicts, built once.  A drift trips only the detectors
+#: bound to the drifted object, but a detector bound to several
+#: findings, or to a finding whose object another finding shares (an
+#: audit subcategory's success and failure flags), still re-checks
+#: findings the drift left compliant: those settle here.
 _COMPLIANT = (True, (EnforcementStatus.SUCCESS, CheckStatus.PASS))
 _NOT_IN_CATALOGUE = (False, (EnforcementStatus.FAILURE, CheckStatus.FAIL))
 
