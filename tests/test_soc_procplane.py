@@ -265,16 +265,22 @@ class TestSpscRing:
 
 def _cursor_writer(name, capacity, slot, rounds):
     """Writer process for :class:`TestCursorPublication`: drives head
-    through 6-byte carries and tail through plain increments."""
+    through 6-byte carries and tail through plain increments.
+
+    It yields the CPU every 100 rounds, so a reader sharing one CPU
+    with it still sees the head move hundreds of times; without the
+    yields the whole run fits in a few time slices."""
     ring = SpscRing(capacity, slot, name=name)
     ring.sync_consumer()
     ring.sync_producer()
     try:
-        for _ in range(rounds):
+        for round_ in range(rounds):
             ring.advance(_LOW_MASK)     # head -> k * 2^48 + (2^48 - 1)
             ring.publish()
             ring.advance(1)             # head -> (k + 1) * 2^48: a carry
             ring.publish()
+            if round_ % 100 == 0:
+                time.sleep(0)
     finally:
         ring.close_producer()
         ring.detach()
