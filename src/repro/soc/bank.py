@@ -70,19 +70,11 @@ class MonitorBank:
             self._watch[atom].discard(req_id)
 
     def _classify(self, req_id: str) -> None:
-        """(Re)index one monitor by its *current* obligation.
-
-        A monitor already filed under the obligation's atoms stays
-        where it is: an obligation that changes but keeps its atoms,
-        or an added monitor replacing one over the same atoms, leaves
-        the index as it was.
-        """
+        """(Re)index one monitor by its *current* obligation."""
         obligation = self.monitors[req_id].obligation
+        self._unfile(req_id)
         if empty_step_stable(obligation):
             atoms = obligation.atoms()
-            if self._filed.get(req_id) == atoms:
-                return
-            self._unfile(req_id)
             watch = self._watch
             for atom in atoms:
                 watchers = watch.get(atom)
@@ -92,7 +84,6 @@ class MonitorBank:
                     watchers.add(req_id)
             self._filed[req_id] = atoms
         else:
-            self._unfile(req_id)
             self._always.add(req_id)
 
     # -- live re-arming ----------------------------------------------------------
