@@ -18,7 +18,17 @@ Headline numbers land in ``benchmarks/out/BENCH_chaos.json``.
 
 Expected shape: coverage stays at 100% at every rate (conservation +
 reconcile guarantee it), while throughput decays gracefully — the 20%
-run must retain at least half the fault-free figure.
+run must retain at least half the draw-only figure.
+
+The retention gate's baseline is a *draw-only* run: every fault site
+is consulted at a vanishing rate, so the run pays the controller's
+keyed draw at every seam (each delivery, ingress event, repair attempt
+and config read) and injects nothing.  The 0% run never consults the
+controller, while every faulted run pays for the draws whatever its
+rate; the draws are harness instrumentation, not degradation machinery,
+so dividing by the 0% run billed them to degradation — and made the
+gate tighter whenever the fault-free path got faster.  The 0% figure
+and the retention against it are still reported.
 """
 
 import time
@@ -41,6 +51,9 @@ SHARDS = 4
 # Per drift: NOISE heartbeats + package.installed + drift.package.
 SCENARIO_EVENTS = HOSTS * ROUNDS * (NOISE_PER_DRIFT + 2)
 FAULT_RATES = (0.0, 0.01, 0.05, 0.20)
+#: Every site draws, none fires: each draw hits with probability 1e-18
+#: (the run asserts that nothing was injected).
+DRAW_ONLY_RATE = 1e-18
 REPS = 3  # best-of-N to damp scheduler noise
 
 
@@ -81,8 +94,19 @@ def run_at(rate: float):
 
 
 def test_bench_e14_chaos_degradation():
+    draw_only = run_at(DRAW_ONLY_RATE)
+    assert draw_only.injections == 0
+    draw_only_throughput = SCENARIO_EVENTS / draw_only.storm_seconds
     results = {}
-    rows = []
+    rows = [{
+        "fault_rate": "draws only",
+        "events_per_sec": f"{draw_only_throughput:,.0f}",
+        "injections": 0,
+        "dead_lettered": 0,
+        "restarts": 0,
+        "reconcile_repairs": draw_only.reconcile_repairs,
+        "coverage": f"{draw_only.posture_ratio:.0%}",
+    }]
     for rate in FAULT_RATES:
         started = time.perf_counter()
         result = run_at(rate)
@@ -120,12 +144,15 @@ def test_bench_e14_chaos_degradation():
             "events": SCENARIO_EVENTS,
             "plan_seed": 14,
         },
+        "draw_only_events_per_sec": round(draw_only_throughput, 1),
         "rates": {
             f"{rate:g}": {
                 "events_per_sec": round(data["throughput"], 1),
                 "seconds": round(data["seconds"], 6),
                 "retention_vs_fault_free": round(
                     data["throughput"] / baseline, 3),
+                "retention_vs_draw_only": round(
+                    data["throughput"] / draw_only_throughput, 3),
                 "injections": data["result"].injections,
                 "dead_lettered": data["dead_lettered"],
                 "worker_restarts": data["restarts"],
@@ -140,13 +167,13 @@ def test_bench_e14_chaos_degradation():
 
     # The acceptance bars: full eventual coverage at every rate (already
     # asserted per-run above), and graceful throughput decay — the
-    # heaviest fault mix keeps at least half the fault-free throughput.
+    # heaviest fault mix keeps at least half the draw-only throughput.
     for rate in FAULT_RATES:
         assert results[rate]["result"].posture_ratio >= 1.0
-    retention = results[0.20]["throughput"] / baseline
+    retention = results[0.20]["throughput"] / draw_only_throughput
     assert retention >= 0.5, (
         f"throughput retention {retention:.0%} at 20% faults "
-        f"(limit 50%)")
+        f"against the draw-only run (limit 50%)")
 
 
 def test_bench_e14_generated_campaigns():
